@@ -345,7 +345,7 @@ def _cmd_eigenstate(cfg):
 
     entries = []
     rows = []
-    for i, lv in enumerate(spec.levels):
+    for i, (lv, level) in enumerate(zip(spec.levels, _levels_payload(spec))):
         if lv.sector == SECTOR_POSITIVE:
             modes = solve_coefficients(p, g, lv.parameter)
         elif lv.sector == SECTOR_ZERO:
@@ -354,38 +354,15 @@ def _cmd_eigenstate(cfg):
             modes = [negative_mode(p, g, lv.parameter)]
         mode_payload = []
         for m in modes:
-            resid = boundary_residual(m, p, g)
-            nrm = mode_inner(m, m, g).real
-            mode_payload.append(
-                {
-                    "coeff_a": m.coeff_a,
-                    "coeff_b": m.coeff_b,
-                    "boundary_residual": resid,
-                    "norm": nrm,
-                }
-            )
-            rows.append(
-                {
-                    "index": i,
-                    "sector": lv.sector,
-                    "parameter": lv.parameter,
-                    "energy": lv.energy,
-                    "multiplicity": lv.multiplicity,
-                    "coeff_a": m.coeff_a,
-                    "coeff_b": m.coeff_b,
-                    "boundary_residual": resid,
-                    "norm": nrm,
-                }
-            )
-        entries.append(
-            {
-                "sector": lv.sector,
-                "parameter": lv.parameter,
-                "energy": lv.energy,
-                "multiplicity": lv.multiplicity,
-                "modes": mode_payload,
+            entry = {
+                "coeff_a": m.coeff_a,
+                "coeff_b": m.coeff_b,
+                "boundary_residual": boundary_residual(m, p, g),
+                "norm": mode_inner(m, m, g).real,
             }
-        )
+            mode_payload.append(entry)
+            rows.append({"index": i, **level, **entry})
+        entries.append({**level, "modes": mode_payload})
     payload = {
         "command": "eigenstate",
         "point": _point_dict(p),
@@ -403,21 +380,16 @@ def _cmd_kernel_compare(cfg):
     ]
     n_grid = cfg["grid"] or 5
     points = [g.l * i / (n_grid - 1) for i in range(n_grid)] if n_grid > 1 else [g.l / 2]
+    a, b = np.meshgrid(points, points, indexing="ij", sparse=True)
     results = []
-    ok = True
     for tau in taus:
         n_img = kernels.images_needed(g, tau)
         terms = kernels.build_image_terms(p, g, n_img)
         n_lev = kernels.spectral_levels_needed(p, g, tau)
-        pref = kernels.gaussian_prefactor(g, tau)
-        worst = 0.0
-        for a in points:
-            for b in points:
-                s_val = kernels.spectral_heat_kernel(p, g, a, b, tau, n_lev, tol=1e-9)
-                i_val = kernels.image_heat_kernel(terms, a, b, tau, n_img)
-                worst = max(worst, abs(s_val - i_val))
-        bound = KERNEL_BOUND * pref
-        ok = ok and worst <= bound
+        s_val = kernels.spectral_heat_kernel(p, g, a, b, tau, n_lev, tol=1e-9)
+        i_val = kernels.image_heat_kernel(terms, a, b, tau, n_img)
+        worst = float(np.max(np.abs(s_val - i_val)))
+        bound = KERNEL_BOUND * kernels.gaussian_prefactor(g, tau)
         results.append(
             {
                 "tau": tau,
@@ -435,9 +407,8 @@ def _cmd_kernel_compare(cfg):
         "grid": n_grid,
         "results": results,
     }
-    rows = [{k: v for k, v in r.items()} for r in results]
-    _emit(payload, rows, cfg)
-    if not ok:
+    _emit(payload, results, cfg)
+    if not all(r["pass"] for r in results):
         raise ContradictionError("spectral and image kernels disagree beyond the bound")
     return 0
 

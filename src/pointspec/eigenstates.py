@@ -44,6 +44,7 @@ __all__ = [
     "solve_coefficients",
     "zero_mode",
     "negative_mode",
+    "negative_modes",
     "scale_invariant_coefficients",
     "scale_invariant_mode",
     "normalize",
@@ -281,7 +282,8 @@ def solve_coefficients(p: U2Params, g: BoxGeometry, k: float):
     return _orthonormalize(_nullspace_modes(p, g, k, SECTOR_POSITIVE, mscale), g)
 
 
-def _negative_modes(p: U2Params, g: BoxGeometry, kappa: float):
+def negative_modes(p: U2Params, g: BoxGeometry, kappa: float):
+    """Orthonormal bound-type eigenfunctions at a negative-level root kappa."""
     if not kappa > 0.0:
         raise ConstraintError("kappa must be strictly positive")
     mscale = max(1.0, kappa * p.L0) * math.cosh(min(kappa * g.l, 700.0))
@@ -290,7 +292,7 @@ def _negative_modes(p: U2Params, g: BoxGeometry, kappa: float):
 
 def negative_mode(p: U2Params, g: BoxGeometry, kappa: float) -> Mode:
     """Normalized bound-type eigenfunction at a negative-level root kappa."""
-    return _negative_modes(p, g, kappa)[0]
+    return negative_modes(p, g, kappa)[0]
 
 
 def zero_mode(p: U2Params, g: BoxGeometry, tol: float = 1e-9) -> Mode:

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .errors import ConstraintError
-from .kernels import _tau_value, halfline_image_kernel
+from .kernels import halfline_image_kernel, tau_value
 from .u2param import INFINITE_LENGTH, is_infinite
 
 __all__ = [
@@ -156,7 +156,7 @@ def robin_heat_kernel(
 
     with c = hbar tau / (2m), g = sqrt(c)/L, s = (a+b)/(2 sqrt(c)).
     """
-    t = _tau_value(tau)
+    t = tau_value(tau)
     if a < 0.0 or b < 0.0:
         raise ConstraintError("half-line positions must be non-negative")
     if is_infinite(w.L):
@@ -195,7 +195,7 @@ def spectral_kernel_by_quadrature(
     (0, k_max) by adaptive quadrature, with k_max set by the Gaussian tail,
     and adds the bound-state term when the wall has one.
     """
-    t = _tau_value(tau)
+    t = tau_value(tau)
     c = hbar * t / (2.0 * mass)
     k_max = math.sqrt(40.0 / c)
 

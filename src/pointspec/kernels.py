@@ -35,7 +35,7 @@ from scipy.special import erfc
 
 from .eigenstates import (
     ScaleInvariantCoefficients,
-    _negative_modes,
+    negative_modes,
     scale_invariant_coefficients,
     solve_coefficients,
     zero_mode,
@@ -63,6 +63,7 @@ __all__ = [
     "theta3",
     "halfline_image_kernel",
     "gaussian_prefactor",
+    "tau_value",
 ]
 
 _DIRECT = "direct"
@@ -80,7 +81,8 @@ class EuclideanTime:
             raise ConstraintError("Euclidean time must be strictly positive")
 
 
-def _tau_value(tau) -> float:
+def tau_value(tau) -> float:
+    """Euclidean time as a positive float, from a number or an EuclideanTime."""
     t = tau.tau if isinstance(tau, EuclideanTime) else float(tau)
     if not t > 0.0:
         raise ConstraintError("Euclidean time must be strictly positive")
@@ -114,13 +116,24 @@ class KernelTermList:
 
 def gaussian_prefactor(g: BoxGeometry, tau) -> float:
     """sqrt(m / (2 pi hbar tau)), the free-particle kernel scale."""
-    t = _tau_value(tau)
+    t = tau_value(tau)
     return math.sqrt(g.mass / (2.0 * math.pi * g.hbar * t))
 
 
-def _check_positions(g: BoxGeometry, a: float, b: float):
-    if not (0.0 <= a <= g.l and 0.0 <= b <= g.l):
+def _check_positions(g: BoxGeometry, a, b):
+    """Endpoints as float arrays that broadcast together, each inside [0, l].
+
+    They are not broadcast here: on a sparse grid each mode is then evaluated
+    once per grid line, not once per grid point.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise ConstraintError("endpoint arrays do not broadcast together") from exc
+    if not (np.all((0.0 <= a) & (a <= g.l)) and np.all((0.0 <= b) & (b <= g.l))):
         raise ConstraintError("endpoints must lie inside the box [0, l]")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +163,7 @@ def _eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
         elif lv.sector == SECTOR_ZERO:
             modes = [zero_mode(p, g)]
         else:
-            modes = _negative_modes(p, g, lv.parameter)
+            modes = negative_modes(p, g, lv.parameter)
         pairs.extend((lv.energy, m) for m in modes)
     return tuple(pairs), k_top
 
@@ -158,14 +171,16 @@ def _eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
 def spectral_heat_kernel(
     p: U2Params,
     g: BoxGeometry,
-    a: float,
-    b: float,
+    a: float | np.ndarray,
+    b: float | np.ndarray,
     tau,
     n_levels: int,
     tol: float = 1e-10,
-) -> complex:
+) -> complex | np.ndarray:
     """Truncated spectral sum sum_n exp(-E_n tau/hbar) psi_n(b) psi_n*(a).
 
+    The endpoints `a` and `b` are numbers or arrays that broadcast together;
+    numbers give a complex, arrays a complex array of the broadcast shape.
     Degenerate partners are summed individually; negative levels enter with
     their growing Boltzmann factor.  The value is Hermitian in the
     endpoints, K(a, b) = conj(K(b, a)); it is real at coincident points and
@@ -177,23 +192,26 @@ def spectral_heat_kernel(
     neglected tail is bounded by the level density l/pi per branch times
     the Gaussian weight beyond the largest retained momentum.
     """
-    t = _tau_value(tau)
-    _check_positions(g, a, b)
+    t = tau_value(tau)
+    a, b = _check_positions(g, a, b)
     pairs, k_top = _eigenbasis(p, g, int(n_levels))
     c = g.hbar * t / (2.0 * g.mass)
     if k_top <= 0.0 or 8.0 * erfc(k_top * math.sqrt(c)) > tol:
         raise TailBoundError(
             f"n_levels = {n_levels} leaves a spectral tail above {tol}"
         )
-    total = 0j
-    for energy, m in pairs:
-        total += cmath.exp(-energy * t / g.hbar) * m.psi(b) * np.conj(m.psi(a))
-    return complex(total)
+    # modes on a trailing axis, summed elementwise: a BLAS contraction spent
+    # milliseconds per call waking OpenBLAS threads (2 cores), more than the sum
+    w = np.exp(-np.array([energy for energy, _ in pairs]) * t / g.hbar)
+    psi_a = np.stack([m.psi(a) for _, m in pairs], axis=-1)
+    psi_b = np.stack([m.psi(b) for _, m in pairs], axis=-1)
+    out = np.sum(w * psi_b * np.conj(psi_a), axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def spectral_levels_needed(p: U2Params, g: BoxGeometry, tau, tol: float = 1e-12) -> int:
     """Smallest level count whose spectral tail is below `tol`."""
-    t = _tau_value(tau)
+    t = tau_value(tau)
     c = g.hbar * t / (2.0 * g.mass)
     # erfc(x) < tol/8 at x ~ sqrt(log(8/tol)); convert to a momentum cutoff
     x = math.sqrt(max(1.0, math.log(8.0 / tol)))
@@ -209,22 +227,24 @@ def spectral_levels_needed(p: U2Params, g: BoxGeometry, tau, tol: float = 1e-12)
 
 def image_heat_kernel(
     terms: KernelTermList,
-    a: float,
-    b: float,
+    a: float | np.ndarray,
+    b: float | np.ndarray,
     tau,
     n_images: int,
     tol: float = 1e-12,
-) -> complex:
+) -> complex | np.ndarray:
     """Evaluate an image term list at Euclidean time, truncated at |nu| <= n_images.
 
+    The endpoints `a` and `b` are numbers or arrays that broadcast together;
+    numbers give a complex, arrays a complex array of the broadcast shape.
     Complex-valued in general (winding weights carry phases), Hermitian in
     the endpoints.  The neglected tail is bounded by the Gaussian weight of
     the nearest omitted displacement; TailBoundError is raised when that
     bound exceeds `tol` (relative to the free-kernel prefactor).
     """
-    t = _tau_value(tau)
+    t = tau_value(tau)
     g = terms.geometry
-    _check_positions(g, a, b)
+    a, b = _check_positions(g, a, b)
     if n_images < 2:
         raise TailBoundError("need at least two image shells")
     cut = n_images * g.l * (1.0 + 1e-12)
@@ -240,14 +260,17 @@ def image_heat_kernel(
             f"n_images = {n_images} leaves an image tail bound {tail:.3e} above {tol}"
         )
     w = np.array([tm.weight for tm in used], dtype=complex)
-    d = np.array([tm.displacement(a, b) for tm in used], dtype=float)
-    s = np.sum(w * np.exp(-g.mass * d * d / (2.0 * g.hbar * t)))
-    return gaussian_prefactor(g, t) * complex(s)
+    mirror = np.array([tm.kind == _MIRROR for tm in used])
+    shift = np.array([tm.shift for tm in used], dtype=float)
+    d = np.where(mirror, (b + a)[..., None], (b - a)[..., None]) + shift
+    s = np.sum(w * np.exp(-g.mass * d * d / (2.0 * g.hbar * t)), axis=-1)
+    out = gaussian_prefactor(g, t) * s
+    return complex(out) if out.ndim == 0 else out
 
 
 def images_needed(g: BoxGeometry, tau, tol: float = 1e-12, weight_bound: float = 2.0) -> int:
     """Smallest image count whose Gaussian tail bound is below `tol`."""
-    t = _tau_value(tau)
+    t = tau_value(tau)
     alpha = g.mass * g.l**2 / (2.0 * g.hbar * t)
     for n in range(2, 100000):
         j = n - 1
@@ -366,7 +389,7 @@ def halfline_image_kernel(
     sign_case 'dirichlet' subtracts the reflected path (wall length 0) and
     'neumann' adds it (infinite wall length).
     """
-    t = _tau_value(tau)
+    t = tau_value(tau)
     if a < 0.0 or b < 0.0:
         raise ConstraintError("half-line positions must be non-negative")
     if sign_case not in ("dirichlet", "neumann"):

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
 
 from .errors import ConstraintError, ContradictionError
-from .spectral import BoxGeometry, _negative_search_ceiling
+from .spectral import BoxGeometry, negative_search_ceiling
 from .u2param import U2Params, to_matrix
 
 __all__ = ["FdConfig", "fd_spectrum"]
@@ -78,7 +78,7 @@ def _reduced_matrix(p: U2Params, g: BoxGeometry, n_points: int):
 
 
 def _default_shift(p: U2Params, g: BoxGeometry) -> float:
-    v_max = _negative_search_ceiling(p, g)
+    v_max = negative_search_ceiling(p, g)
     kappa_ub = v_max / g.l
     esc = g.hbar**2 / (2.0 * g.mass)
     return -1.1 * esc * kappa_ub**2 - g.energy_scale

@@ -42,6 +42,7 @@ __all__ = [
     "zero_mode_exists",
     "find_positive_roots",
     "find_negative_roots",
+    "negative_search_ceiling",
     "spectrum",
     "spectral_fingerprint",
 ]
@@ -279,7 +280,7 @@ def find_positive_roots(p: U2Params, g: BoxGeometry, k_max: float):
     return [(float(u) / g.l, m) for u, m in roots if u > _U_FLOOR * (1.0 + 1e-6)]
 
 
-def _negative_search_ceiling(p: U2Params, g: BoxGeometry):
+def negative_search_ceiling(p: U2Params, g: BoxGeometry):
     """Dimensionless window [0, v_max] certain to contain every negative root.
 
     Starts from max(10, 4/lam, 4*lam) and keeps doubling until the scaled
@@ -308,7 +309,7 @@ def find_negative_roots(p: U2Params, g: BoxGeometry):
     """
     lam = p.L0 / g.l
     s, c1, c2, b_i = _fingerprint_coeffs(p)
-    v_max = _negative_search_ceiling(p, g)
+    v_max = negative_search_ceiling(p, g)
     f = lambda v: _neg_resid_scaled(v, lam, s, c1, c2, b_i)
     df = lambda v: _neg_resid_scaled_deriv(v, lam, s, c1, c2, b_i)
 

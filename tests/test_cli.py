@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from pointspec import BoxGeometry, make_u2, spectrum
+from pointspec import (
+    BoxGeometry,
+    build_image_terms,
+    gaussian_prefactor,
+    image_heat_kernel,
+    make_u2,
+    spectral_heat_kernel,
+    spectrum,
+)
+from pointspec import kernels
 from pointspec.cli import main
 
 G1 = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
@@ -126,6 +135,75 @@ class TestKernelCompareCommand:
             "--alpha-im", "0.96", "--beta-re", "0", "--beta-im", "0", "--L0", "2",
         )
         assert code == 2  # finite Robin walls have no closed image sum
+
+
+#: kernel-compare --grid 9 at three solvable points, with (n_levels, n_images,
+#: bound, pass) per default time as the scalar per-pair implementation printed
+KERNEL_GRID_CASES = {
+    "wall-inf-0": (
+        ["--xi", repr(math.pi / 2), "--alpha-re", "0", "--alpha-im", "-1", "--mass", "0.5"],
+        [(19, 3, 1.9947114020071637e-08, True), (11, 5, 8.920620580763856e-09, True),
+         (7, 9, 3.9894228040143275e-09, True), (6, 17, 1.9947114020071637e-09, True)],
+    ),
+    "sphere": (
+        ["--xi", repr(math.pi / 2), "--alpha-re", "0", "--alpha-im", "0.6", "--beta-re", "0.48",
+         "--beta-im", "0.64", "--length", "1.3", "--mass", "0.7"],
+        [(19, 3, 1.5343933861593563e-08, True), (11, 5, 6.862015831356811e-09, True),
+         (7, 9, 3.068786772318713e-09, True), (6, 17, 1.5343933861593565e-09, True)],
+    ),
+    "twisted-circle": (
+        ["--xi", repr(math.pi / 2), "--alpha-re", "0", "--beta-re", "0.8", "--beta-im", "-0.6",
+         "--mass", "0.5"],
+        [(19, 3, 1.9947114020071637e-08, True), (11, 5, 8.920620580763856e-09, True),
+         (7, 9, 3.9894228040143275e-09, True), (6, 17, 1.9947114020071637e-09, True)],
+    ),
+}
+
+
+class TestKernelCompareGrid:
+    @pytest.mark.parametrize("case", KERNEL_GRID_CASES)
+    def test_matches_scalar_recomputation(self, tmp_path, case):
+        args, expected = KERNEL_GRID_CASES[case]
+        code, text = run(tmp_path, "kernel-compare", *args, "--grid", "9")
+        assert code == 0
+        doc = json.loads(text)
+        geo = doc["geometry"]
+        g = BoxGeometry(l=geo["length"], hbar=geo["hbar"], mass=geo["mass"])
+        pt = doc["point"]
+        p = make_u2(pt["xi"], complex(pt["alpha"]["re"], pt["alpha"]["im"]),
+                    complex(pt["beta"]["re"], pt["beta"]["im"]), pt["L0"])
+        xs = [g.l * i / 8 for i in range(9)]
+        got = [(r["n_levels"], r["n_images"], r["bound"], r["pass"]) for r in doc["results"]]
+        assert got == expected
+        for r in doc["results"]:
+            tau = r["tau"]
+            terms = build_image_terms(p, g, r["n_images"])
+            worst = max(
+                abs(spectral_heat_kernel(p, g, a, b, tau, r["n_levels"], tol=1e-9)
+                    - image_heat_kernel(terms, a, b, tau, r["n_images"]))
+                for a in xs for b in xs
+            )
+            assert abs(r["max_abs_difference"] - worst) <= 1e-12 * gaussian_prefactor(g, tau)
+
+    @pytest.mark.parametrize("i, j", [(0, 8), (8, 0), (3, 6)])
+    def test_every_grid_pair_is_compared(self, tmp_path, monkeypatch, i, j):
+        # a disagreement planted at one off-diagonal pair must be what is reported
+        args, _ = KERNEL_GRID_CASES["sphere"]
+        g = BoxGeometry(l=1.3, hbar=1.0, mass=0.7)
+        xs = [g.l * i / 8 for i in range(9)]
+        exact = kernels.image_heat_kernel
+
+        def planted(terms, a, b, tau, n_images):
+            at = (np.asarray(a) == xs[i]) & (np.asarray(b) == xs[j])
+            return exact(terms, a, b, tau, n_images) + np.where(
+                at, 1e-10 * gaussian_prefactor(g, tau), 0.0)
+
+        monkeypatch.setattr(kernels, "image_heat_kernel", planted)
+        code, text = run(tmp_path, "kernel-compare", *args, "--grid", "9")
+        assert code == 0
+        for r in json.loads(text)["results"]:
+            pref = gaussian_prefactor(g, r["tau"])
+            assert abs(r["max_abs_difference"] - 1e-10 * pref) <= 1e-12 * pref
 
 
 class TestScanCommand:

@@ -8,6 +8,7 @@ from pointspec import (
     BoxGeometry,
     ConstraintError,
     EuclideanTime,
+    KernelTermList,
     SubfamilyError,
     TailBoundError,
     build_image_terms,
@@ -148,6 +149,98 @@ class TestImageKernel:
         v1 = image_heat_kernel(terms, 0.2, 0.7, tau, n_img)
         v2 = image_heat_kernel(terms, 0.2, 0.7, tau.tau, n_img)
         assert v1 == v2
+
+
+ARRAY_POINTS = {
+    "wall-inf-0": make_u2(math.pi / 2, -1j, 0.0),
+    "sphere": make_u2(math.pi / 2, 0.6j, 0.48 + 0.64j),
+    "twisted-circle": make_u2(math.pi / 2, 0.0, complex(-math.sin(1.0), -math.cos(1.0))),
+    "pole-plus": make_u2(math.pi / 2, 0.0, 1j),
+}
+
+
+def _kernel_setup(p, tau):
+    n_img = images_needed(G1, tau)
+    return build_image_terms(p, G1, n_img), n_img, spectral_levels_needed(p, G1, tau)
+
+
+class TestArrayKernels:
+    XS = np.linspace(0.0, G1.l, 9)
+
+    @pytest.mark.parametrize("theta_hat", [0.02, 0.5])
+    @pytest.mark.parametrize("p", ARRAY_POINTS.values(), ids=ARRAY_POINTS.keys())
+    def test_grid_matches_scalar_calls(self, p, theta_hat):
+        tau = _tau(theta_hat)
+        terms, n_img, n_lev = _kernel_setup(p, tau)
+        tol = 1e-12 * gaussian_prefactor(G1, tau)
+        s_ref = np.array([[spectral_heat_kernel(p, G1, a, b, tau, n_lev) for b in self.XS]
+                          for a in self.XS])
+        i_ref = np.array([[image_heat_kernel(terms, a, b, tau, n_img) for b in self.XS]
+                          for a in self.XS])
+        for sparse in (False, True):
+            a, b = np.meshgrid(self.XS, self.XS, indexing="ij", sparse=sparse)
+            s_val = spectral_heat_kernel(p, G1, a, b, tau, n_lev)
+            i_val = image_heat_kernel(terms, a, b, tau, n_img)
+            assert s_val.shape == i_val.shape == (9, 9)
+            assert np.max(np.abs(s_val - s_ref)) <= tol
+            assert np.max(np.abs(i_val - i_ref)) <= tol
+
+    @pytest.mark.parametrize("p", ARRAY_POINTS.values(), ids=ARRAY_POINTS.keys())
+    def test_grid_matrix_is_hermitian(self, p):
+        tau = _tau(0.1)
+        terms, n_img, n_lev = _kernel_setup(p, tau)
+        tol = 1e-12 * gaussian_prefactor(G1, tau)
+        a, b = np.meshgrid(self.XS, self.XS, indexing="ij")
+        for K in (spectral_heat_kernel(p, G1, a, b, tau, n_lev),
+                  image_heat_kernel(terms, a, b, tau, n_img)):
+            assert np.max(np.abs(K - K.conj().T)) <= tol
+
+    def test_broadcast_shape_and_scalar_type(self):
+        p = ARRAY_POINTS["sphere"]
+        tau = _tau(0.1)
+        terms, n_img, n_lev = _kernel_setup(p, tau)
+        kernels = (
+            lambda a, b: spectral_heat_kernel(p, G1, a, b, tau, n_lev),
+            lambda a, b: image_heat_kernel(terms, a, b, tau, n_img),
+        )
+        for kernel in kernels:
+            assert kernel(np.full((3, 1), 0.2), np.linspace(0.1, 0.9, 4)).shape == (3, 4)
+            assert kernel(0.3, np.linspace(0.1, 0.9, 5)).shape == (5,)
+            assert kernel(np.array([[0.4]]), 0.6).shape == (1, 1)
+            v = kernel(0.3, 0.7)
+            assert type(v) is complex
+            assert kernel(np.array([0.3]), np.array([0.7]))[0] == pytest.approx(v, abs=1e-15)
+            with pytest.raises(ConstraintError):
+                kernel(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, float("nan")])
+    def test_one_out_of_box_entry_raises(self, where, bad):
+        p = ARRAY_POINTS["twisted-circle"]
+        tau = _tau(0.1)
+        terms, n_img, n_lev = _kernel_setup(p, tau)
+        good = np.full((4, 5), 0.5)
+        worse = good.copy()
+        worse[2, 3] = bad
+        a, b = (worse, good) if where == "a" else (good, worse)
+        with pytest.raises(ConstraintError):
+            spectral_heat_kernel(p, G1, a, b, tau, n_lev)
+        with pytest.raises(ConstraintError):
+            image_heat_kernel(terms, a, b, tau, n_img)
+
+    def test_tail_bounds_still_raise(self):
+        p = ARRAY_POINTS["wall-inf-0"]
+        xs = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(TailBoundError):
+            spectral_heat_kernel(p, G1, xs, xs, _tau(0.02), 3)
+        terms = build_image_terms(p, G1, 40)
+        with pytest.raises(TailBoundError):
+            image_heat_kernel(terms, xs, xs, _tau(5.0), 2)
+        with pytest.raises(TailBoundError):
+            image_heat_kernel(terms, xs, xs, _tau(0.1), 1)
+        empty = KernelTermList("free_gaussian", (), G1)
+        with pytest.raises(TailBoundError):
+            image_heat_kernel(empty, xs, xs, _tau(0.1), 4)
 
 
 class TestBuildImageTerms:
