@@ -15,19 +15,15 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import kernels, oracle
-from .eigenstates import negative_mode, solve_coefficients, zero_mode
+from .eigenstates import boundary_residual, eigenbasis, mode_inner
 from .errors import ConstraintError, ContradictionError, PointspecError
 from .spectral import (
     SECTOR_NEGATIVE,
-    SECTOR_POSITIVE,
-    SECTOR_ZERO,
     BoxGeometry,
     spectral_fingerprint,
     spectrum,
@@ -263,6 +259,17 @@ def _geometry_dict(g):
     return {"length": g.l, "hbar": g.hbar, "mass": g.mass}
 
 
+def _point_row(p):
+    return {
+        "xi": p.xi,
+        "alpha_re": p.alpha.real,
+        "alpha_im": p.alpha.imag,
+        "beta_re": p.beta.real,
+        "beta_im": p.beta.imag,
+        "L0": p.L0,
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -285,15 +292,7 @@ def _cmd_classify(cfg):
         },
         "fingerprint": {"xi": fp[0], "alpha_re": fp[1], "beta_im": fp[2]},
     }
-    row = {
-        "xi": p.xi,
-        "alpha_re": p.alpha.real,
-        "alpha_im": p.alpha.imag,
-        "beta_re": p.beta.real,
-        "beta_im": p.beta.imag,
-        "L0": p.L0,
-        **payload["flags"],
-    }
+    row = {**_point_row(p), **payload["flags"]}
     if flags.scale_invariant:
         payload["twist_angle"] = twist_angle(p, cfg["tol"])
         row["twist_angle"] = payload["twist_angle"]
@@ -307,21 +306,19 @@ def _cmd_classify(cfg):
     return 0
 
 
-def _levels_payload(spec):
-    return [
-        {
-            "sector": lv.sector,
-            "parameter": lv.parameter,
-            "energy": lv.energy,
-            "multiplicity": lv.multiplicity,
-        }
-        for lv in spec.levels
-    ]
+def _level_dict(lv):
+    return {
+        "sector": lv.sector,
+        "parameter": lv.parameter,
+        "energy": lv.energy,
+        "multiplicity": lv.multiplicity,
+    }
 
 
 def _cmd_spectrum(cfg):
     p, g = _point(cfg), _geometry(cfg)
     spec = spectrum(p, g, cfg["levels"])
+    levels = [_level_dict(lv) for lv in spec.levels]
     payload = {
         "command": "spectrum",
         "point": _point_dict(p),
@@ -329,29 +326,19 @@ def _cmd_spectrum(cfg):
         "zero_mode": zero_mode_exists(p, g),
         "negative_count": sum(1 for lv in spec.levels if lv.sector == SECTOR_NEGATIVE),
         "k_max": spec.k_max,
-        "levels": _levels_payload(spec),
+        "levels": levels,
     }
-    rows = [
-        {"index": i, **entry} for i, entry in enumerate(_levels_payload(spec))
-    ]
+    rows = [{"index": i, **entry} for i, entry in enumerate(levels)]
     _emit(payload, rows, cfg)
     return 0
 
 
 def _cmd_eigenstate(cfg):
     p, g = _point(cfg), _geometry(cfg)
-    spec = spectrum(p, g, cfg["levels"])
-    from .eigenstates import boundary_residual, mode_inner
-
     entries = []
     rows = []
-    for i, (lv, level) in enumerate(zip(spec.levels, _levels_payload(spec))):
-        if lv.sector == SECTOR_POSITIVE:
-            modes = solve_coefficients(p, g, lv.parameter)
-        elif lv.sector == SECTOR_ZERO:
-            modes = [zero_mode(p, g)]
-        else:
-            modes = [negative_mode(p, g, lv.parameter)]
+    for i, (lv, modes) in enumerate(eigenbasis(p, g, cfg["levels"])):
+        level = _level_dict(lv)
         mode_payload = []
         for m in modes:
             entry = {
@@ -468,18 +455,12 @@ def _project_point(base, swept):
     return point, scale
 
 
-def _scan_row(args):
-    base, swept, g = args
+def _scan_row(base, swept, g):
     p, scale = _project_point(base, swept)
     spec = spectrum(p, g, 8)
     fp = spectral_fingerprint(p)
     row = {
-        "xi": p.xi,
-        "alpha_re": p.alpha.real,
-        "alpha_im": p.alpha.imag,
-        "beta_re": p.beta.real,
-        "beta_im": p.beta.imag,
-        "L0": p.L0,
+        **_point_row(p),
         "rescale": scale,
         "fp_xi": fp[0],
         "fp_alpha_re": fp[1],
@@ -503,33 +484,15 @@ def _cmd_scan(cfg):
         "beta-im": cfg["beta_im"],
         "L0": cfg["L0"],
     }
-    tasks = []
     if len(axes) == 1:
         name, values = axes[0]
-        for v in values:
-            tasks.append((base, {name: v}, g))
+        swept = [{name: v} for v in values]
     else:
         (n1, v1), (n2, v2) = axes
         if n1 == n2:
             raise ConstraintError("the two sweep axes must differ")
-        for a in v1:
-            for b in v2:
-                tasks.append((base, {n1: a, n2: b}, g))
-    threads = os.environ.get("POINTSPEC_THREADS")
-    if threads is not None:
-        try:
-            workers = int(threads)
-        except ValueError as exc:
-            raise ConstraintError("POINTSPEC_THREADS must be an integer") from exc
-        if workers < 1:
-            raise ConstraintError("POINTSPEC_THREADS must be positive")
-    else:
-        workers = min(8, os.cpu_count() or 1)
-    if workers == 1 or len(tasks) <= 1:
-        rows = [_scan_row(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, tasks))
+        swept = [{n1: a, n2: b} for a in v1 for b in v2]
+    rows = [_scan_row(base, s, g) for s in swept]
     payload = {
         "command": "scan",
         "geometry": _geometry_dict(g),

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ConstraintError,
+    ContradictionError,
     RootNotFoundError,
     SubfamilyError,
     ZeroFunctionError,
@@ -31,6 +32,7 @@ from .spectral import (
     SECTOR_POSITIVE,
     SECTOR_ZERO,
     BoxGeometry,
+    spectrum,
     zero_mode_exists,
 )
 from .u2param import U2Params, classify, to_matrix, twist_angle
@@ -45,6 +47,7 @@ __all__ = [
     "zero_mode",
     "negative_mode",
     "negative_modes",
+    "eigenbasis",
     "scale_invariant_coefficients",
     "scale_invariant_mode",
     "normalize",
@@ -315,6 +318,30 @@ def zero_mode(p: U2Params, g: BoxGeometry, tol: float = 1e-9) -> Mode:
     _, _, vh = np.linalg.svd(M)
     v = vh[1].conj()
     return normalize(Mode(SECTOR_ZERO, None, v[0], v[1]), g)
+
+
+def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
+    """The n_levels lowest levels, each with its orthonormal eigenfunctions.
+
+    Returns a tuple of (Level, modes) pairs in energy order; a degenerate
+    level carries all of its modes.  Raises ContradictionError when the
+    nullspace rank at a positive level disagrees with its root multiplicity.
+    """
+    basis = []
+    for lv in spectrum(p, g, n_levels).levels:
+        if lv.sector == SECTOR_POSITIVE:
+            modes = solve_coefficients(p, g, lv.parameter)
+            if len(modes) != lv.multiplicity:
+                raise ContradictionError(
+                    "nullspace rank disagrees with the root multiplicity "
+                    f"at k = {lv.parameter!r}"
+                )
+        elif lv.sector == SECTOR_ZERO:
+            modes = [zero_mode(p, g)]
+        else:
+            modes = negative_modes(p, g, lv.parameter)
+        basis.append((lv, tuple(modes)))
+    return tuple(basis)
 
 
 def scale_invariant_coefficients(

@@ -33,15 +33,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from .eigenstates import (
-    ScaleInvariantCoefficients,
-    negative_modes,
-    scale_invariant_coefficients,
-    solve_coefficients,
-    zero_mode,
-)
-from .errors import ConstraintError, ContradictionError, SubfamilyError, TailBoundError
-from .spectral import SECTOR_POSITIVE, SECTOR_ZERO, BoxGeometry, spectrum
+from .eigenstates import ScaleInvariantCoefficients, eigenbasis, scale_invariant_coefficients
+from .errors import ConstraintError, SubfamilyError, TailBoundError
+from .spectral import SECTOR_POSITIVE, BoxGeometry
 from .u2param import (
     U2Params,
     classify,
@@ -143,29 +137,15 @@ def _check_positions(g: BoxGeometry, a, b):
 
 @lru_cache(maxsize=64)
 def _eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
-    """Levels with orthonormal eigenfunctions, cached per boundary point.
+    """`eigenbasis` flattened and cached per boundary point.
 
     Returns a tuple of (energy, mode) pairs with degenerate partners listed
     individually, plus the largest positive momentum retained.
     """
-    spec = spectrum(p, g, n_levels)
-    pairs = []
-    k_top = 0.0
-    for lv in spec.levels:
-        if lv.sector == SECTOR_POSITIVE:
-            modes = solve_coefficients(p, g, lv.parameter)
-            if len(modes) != lv.multiplicity:
-                raise ContradictionError(
-                    "nullspace rank disagrees with the root multiplicity "
-                    f"at k = {lv.parameter!r}"
-                )
-            k_top = max(k_top, lv.parameter)
-        elif lv.sector == SECTOR_ZERO:
-            modes = [zero_mode(p, g)]
-        else:
-            modes = negative_modes(p, g, lv.parameter)
-        pairs.extend((lv.energy, m) for m in modes)
-    return tuple(pairs), k_top
+    basis = eigenbasis(p, g, n_levels)
+    pairs = tuple((lv.energy, m) for lv, modes in basis for m in modes)
+    k_top = max((lv.parameter for lv, _ in basis if lv.sector == SECTOR_POSITIVE), default=0.0)
+    return pairs, k_top
 
 
 def spectral_heat_kernel(

@@ -128,11 +128,8 @@ def positive_condition(p: U2Params, g: BoxGeometry, k):
 
     Vanishes exactly at the allowed momenta.  Accepts scalars or arrays.
     """
-    s, c1, c2, b_i = _fingerprint_coeffs(p)
     k = np.asarray(k, dtype=float)
-    kl0 = k * p.L0
-    kl = k * g.l
-    out = 2.0 * kl0 * (b_i + s * np.cos(kl)) + (c1 + c2 * kl0**2) * np.sin(kl)
+    out = _pos_resid(k * g.l, p.L0 / g.l, *_fingerprint_coeffs(p))
     return out if out.ndim else float(out)
 
 
@@ -141,10 +138,8 @@ def negative_condition(p: U2Params, g: BoxGeometry, kappa):
     kappa = np.asarray(kappa, dtype=float)
     if np.any(kappa <= 0.0):
         raise ConstraintError("kappa must be strictly positive")
-    s, c1, c2, b_i = _fingerprint_coeffs(p)
-    kl0 = kappa * p.L0
-    kl = kappa * g.l
-    out = 2.0 * kl0 * (b_i + s * np.cosh(kl)) + (c1 - c2 * kl0**2) * np.sinh(kl)
+    v = kappa * g.l
+    out = 0.5 * np.exp(v) * _neg_resid_scaled(v, p.L0 / g.l, *_fingerprint_coeffs(p))
     return out if out.ndim else float(out)
 
 

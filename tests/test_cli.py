@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,10 +7,12 @@ import pytest
 
 from pointspec import (
     BoxGeometry,
+    Mode,
     build_image_terms,
     gaussian_prefactor,
     image_heat_kernel,
     make_u2,
+    mode_inner,
     spectral_heat_kernel,
     spectrum,
 )
@@ -105,6 +108,34 @@ class TestEigenstateCommand:
             for m in entry["modes"]:
                 assert m["boundary_residual"] < 1e-9
                 assert m["norm"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_degenerate_negative_level_lists_both_modes(self, tmp_path):
+        # U = (X - i lam Y)(X + i lam Y)^-1 admits both exp(+-kappa x) at
+        # kappa = 2, l = L0 = 1: a doubly degenerate negative level
+        kappa, e = 2.0, math.exp(2.0)
+        X = np.array([[1.0, 1.0], [e, 1.0 / e]])
+        Y = np.array([[1.0, -1.0], [-e, 1.0 / e]])
+        U = (X - 1j * kappa * Y) @ np.linalg.inv(X + 1j * kappa * Y)
+        xi = cmath.phase(np.linalg.det(U)) / 2.0 % math.pi
+        alpha, beta = U[0] * cmath.exp(-1j * xi)
+        values = {"xi": xi, "alpha-re": alpha.real, "alpha-im": alpha.imag,
+                  "beta-re": beta.real, "beta-im": beta.imag}
+        args = [f"--{k}={float(v)!r}" for k, v in values.items()]
+        with pytest.warns(RuntimeWarning, match="tangential"):
+            code, text = run(tmp_path, "eigenstate", *args, "--levels", "2")
+        assert code == 0
+        level = json.loads(text)["levels"][0]
+        assert level["sector"] == "negative" and level["multiplicity"] == 2
+        assert level["parameter"] == pytest.approx(kappa, rel=1e-12)
+        assert len(level["modes"]) == 2
+        g = BoxGeometry(l=1.0)
+        modes = []
+        for m in level["modes"]:
+            assert m["norm"] == pytest.approx(1.0, abs=1e-9)
+            assert m["boundary_residual"] <= 1e-8
+            coeff = [complex(m[k]["re"], m[k]["im"]) for k in ("coeff_a", "coeff_b")]
+            modes.append(Mode("negative", level["parameter"], *coeff))
+        assert abs(mode_inner(modes[0], modes[1], g)) <= 1e-9
 
 
 class TestKernelCompareCommand:
@@ -274,16 +305,6 @@ class TestScanCommand:
         i_rs = header.index("rescale")
         assert float(lines[1].split(",")[i_rs]) == pytest.approx(1.0)
         assert float(lines[2].split(",")[i_rs]) == pytest.approx(0.8)
-
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POINTSPEC_THREADS", "2")
-        code, text = run(
-            tmp_path, "scan", "--xi", "0", "--alpha-re", "1", "--alpha-im", "0",
-            "--beta-re", "0", "--beta-im", "0", "--sweep", "L0:0.5:2:3",
-            "--mass", "0.5", "--format", "csv", name="scan.csv",
-        )
-        assert code == 0
-        assert len(text.strip().split("\n")) == 4
 
     def test_bad_axis_rejected(self, tmp_path):
         code, _ = run(

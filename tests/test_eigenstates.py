@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from pointspec import (
     BoxGeometry,
     ConstraintError,
+    ContradictionError,
     Mode,
     RootNotFoundError,
+    Spectrum,
     SubfamilyError,
     ZeroFunctionError,
     boundary_data,
     boundary_residual,
+    eigenbasis,
     find_negative_roots,
     find_positive_roots,
     make_u2,
@@ -25,6 +29,7 @@ from pointspec import (
     spectrum,
     zero_mode,
 )
+from pointspec import eigenstates
 from helpers import haar_point, scale_invariant_point
 
 RNG = np.random.default_rng(20240813)
@@ -163,6 +168,25 @@ class TestNegativeMode:
     def test_no_root_errors(self):
         with pytest.raises(RootNotFoundError):
             negative_mode(DIRICHLET, G1, 1.0)
+
+
+class TestEigenbasis:
+    def test_levels_carry_all_their_modes(self):
+        # the Im beta = -1 pole: a zero mode under a doubly degenerate ladder
+        p = make_u2(math.pi / 2, 0.0, -1j)
+        basis = eigenbasis(p, G1, 4)
+        assert [lv for lv, _ in basis] == list(spectrum(p, G1, 4).levels)
+        assert [len(modes) for _, modes in basis] == [1, 2, 2, 2]
+        for lv, modes in basis:
+            assert all(m.sector == lv.sector for m in modes)
+            assert all(boundary_residual(m, p, G1) < 1e-9 for m in modes)
+
+    def test_rank_disagreeing_with_multiplicity_raises(self, monkeypatch):
+        spec = spectrum(DIRICHLET, G1, 1)
+        doubled = Spectrum((replace(spec.levels[0], multiplicity=2),), spec.k_max)
+        monkeypatch.setattr(eigenstates, "spectrum", lambda p, g, n: doubled)
+        with pytest.raises(ContradictionError, match="nullspace rank"):
+            eigenbasis(DIRICHLET, G1, 1)
 
 
 class TestScaleInvariantClosedForms:
