@@ -322,3 +322,43 @@ class TestOrthogonality:
             for i in range(len(modes)):
                 for j in range(i + 1, len(modes)):
                     assert abs(mode_inner(modes[i], modes[j], G1)) < 1e-8
+
+
+class TestModeInner:
+    """mode_inner against trapezoid quadrature, for every pair of sectors."""
+
+    G = BoxGeometry(l=1.3, hbar=1.0, mass=0.5)
+    SECTORS = {
+        "zero": ("zero", None),
+        "negative": ("negative", 1.7),
+        "negative2": ("negative", 2.9),
+        "positive": ("positive", 4.1),
+        "positive2": ("positive", 6.3),
+    }
+    PAIRS = [
+        ("zero", "zero"),
+        ("zero", "negative"),
+        ("zero", "positive"),
+        ("negative", "negative"),
+        ("negative", "negative2"),
+        ("negative", "positive"),
+        ("positive", "positive"),
+        ("positive", "positive2"),
+    ]
+
+    @pytest.mark.parametrize("first, second", PAIRS)
+    def test_matches_quadrature(self, first, second):
+        rng = np.random.default_rng(314159)
+        x = np.linspace(0.0, self.G.l, 40001)
+        for _ in range(3):
+            modes = [
+                Mode(*self.SECTORS[name], *(complex(*rng.normal(size=2)) for _ in range(2)))
+                for name in (first, second)
+            ]
+            assert modes[0].sector != "zero" or modes[0].coeff_a != 0
+            for m1, m2 in (modes, modes[::-1]):
+                quad = np.trapezoid(np.conj(m1.psi(x)) * m2.psi(x), x)
+                scale = math.sqrt(
+                    np.trapezoid(np.abs(m1.psi(x)) ** 2, x) * np.trapezoid(np.abs(m2.psi(x)) ** 2, x)
+                )
+                assert abs(mode_inner(m1, m2, self.G) - quad) <= 1e-8 * scale
