@@ -13,6 +13,7 @@ import numpy as np
 from pointspec import (
     BoxGeometry,
     build_image_terms,
+    eigenbasis,
     gaussian_prefactor,
     image_heat_kernel,
     images_needed,
@@ -30,7 +31,7 @@ def both_kernels(p, a, b):
     n_img = images_needed(g, tau)
     n_lev = spectral_levels_needed(p, g, tau)
     terms = build_image_terms(p, g, n_img)
-    sv = spectral_heat_kernel(p, g, a, b, tau, n_lev)
+    sv = spectral_heat_kernel(eigenbasis(p, g, n_lev), g, a, b, tau)
     iv = image_heat_kernel(terms, a, b, tau, n_img)
     return sv, iv
 

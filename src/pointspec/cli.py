@@ -30,6 +30,7 @@ from .spectral import (
     zero_mode_exists,
 )
 from .u2param import (
+    CLASSIFY_TOL,
     classify,
     is_infinite,
     make_u2,
@@ -43,6 +44,8 @@ __all__ = ["main"]
 DEFAULT_KERNEL_TIMES = (0.02, 0.1, 0.5, 2.0)
 #: kernel identity acceptance bound, relative to the free prefactor
 KERNEL_BOUND = 1e-8
+#: default relative tolerance of oracle-check's energy comparison
+ORACLE_TOL = 5e-3
 
 _SWEEPABLE = ("xi", "alpha-re", "alpha-im", "beta-re", "beta-im", "L0")
 
@@ -58,14 +61,13 @@ _FLAG_SPECS = {
     "hbar": ("--hbar", float, 1.0),
     "mass": ("--mass", float, 1.0),
     "levels": ("--levels", int, 8),
-    "k_max": ("--k-max", float, None),
     "tau": ("--tau", float, None),  # repeatable
     "grid": ("--grid", int, None),
     "sweep": ("--sweep", str, None),  # repeatable
     "out": ("--out", str, None),
     "format": ("--format", str, "json"),
     "config": ("--config", str, None),
-    "tol": ("--tol", float, 1e-9),
+    "tol": ("--tol", float, None),  # each command has its own default
 }
 
 _REPEATABLE = {"tau", "sweep"}
@@ -277,7 +279,8 @@ def _point_row(p):
 
 def _cmd_classify(cfg):
     p = _point(cfg)
-    flags = classify(p, cfg["tol"])
+    tol = CLASSIFY_TOL if cfg["tol"] is None else cfg["tol"]
+    flags = classify(p, tol)
     fp = spectral_fingerprint(p)
     payload = {
         "command": "classify",
@@ -294,10 +297,10 @@ def _cmd_classify(cfg):
     }
     row = {**_point_row(p), **payload["flags"]}
     if flags.scale_invariant:
-        payload["twist_angle"] = twist_angle(p, cfg["tol"])
+        payload["twist_angle"] = twist_angle(p, tol)
         row["twist_angle"] = payload["twist_angle"]
     if flags.separated:
-        sl = separated_lengths(p, cfg["tol"])
+        sl = separated_lengths(p, tol)
         as_text = lambda v: "inf" if is_infinite(v) else _fmt_real(v)
         payload["robin_lengths"] = {"l_plus": as_text(sl.l_plus), "l_minus": as_text(sl.l_minus)}
         row["l_plus"] = as_text(sl.l_plus)
@@ -368,12 +371,13 @@ def _cmd_kernel_compare(cfg):
     n_grid = cfg["grid"] or 5
     points = [g.l * i / (n_grid - 1) for i in range(n_grid)] if n_grid > 1 else [g.l / 2]
     a, b = np.meshgrid(points, points, indexing="ij", sparse=True)
+    needs = [kernels.spectral_levels_needed(p, g, tau) for tau in taus]
+    basis = eigenbasis(p, g, max(needs))
     results = []
-    for tau in taus:
+    for tau, n_lev in zip(taus, needs):
         n_img = kernels.images_needed(g, tau)
         terms = kernels.build_image_terms(p, g, n_img)
-        n_lev = kernels.spectral_levels_needed(p, g, tau)
-        s_val = kernels.spectral_heat_kernel(p, g, a, b, tau, n_lev, tol=1e-9)
+        s_val = kernels.spectral_heat_kernel(basis[:n_lev], g, a, b, tau, tol=1e-9)
         i_val = kernels.image_heat_kernel(terms, a, b, tau, n_img)
         worst = float(np.max(np.abs(s_val - i_val)))
         bound = KERNEL_BOUND * kernels.gaussian_prefactor(g, tau)
@@ -513,7 +517,7 @@ def _cmd_oracle_check(cfg):
     for lv in spec.levels:
         exact.extend([lv.energy] * lv.multiplicity)
     exact = exact[:n_levels]
-    tol = cfg["tol"] if cfg["tol"] != _FLAG_SPECS["tol"][2] else 5e-3
+    tol = ORACLE_TOL if cfg["tol"] is None else cfg["tol"]
     floor = tol * g.energy_scale
     rows = []
     ok = True

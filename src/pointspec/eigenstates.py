@@ -86,31 +86,23 @@ class Mode:
 
     def psi(self, x):
         """Evaluate the wavefunction at x (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        if self.sector == SECTOR_ZERO:
-            out = self.coeff_a * x + self.coeff_b * np.ones_like(x, dtype=complex)
-        elif self.sector == SECTOR_POSITIVE:
-            k = self.parameter
-            out = self.coeff_a * np.exp(1j * k * x) + self.coeff_b * np.exp(-1j * k * x)
-        else:
-            q = self.parameter
-            out = self.coeff_a * np.exp(q * x) + self.coeff_b * np.exp(-q * x)
+        out = self._values(np.asarray(x, dtype=float), np.exp)[0]
         return out if out.ndim else complex(out)
 
     def dpsi(self, x):
         """Evaluate the spatial derivative at x."""
-        x = np.asarray(x, dtype=float)
-        if self.sector == SECTOR_ZERO:
-            out = self.coeff_a * np.ones_like(x, dtype=complex)
-        elif self.sector == SECTOR_POSITIVE:
-            k = self.parameter
-            out = 1j * k * (
-                self.coeff_a * np.exp(1j * k * x) - self.coeff_b * np.exp(-1j * k * x)
-            )
-        else:
-            q = self.parameter
-            out = q * (self.coeff_a * np.exp(q * x) - self.coeff_b * np.exp(-q * x))
+        out = self._values(np.asarray(x, dtype=float), np.exp)[1]
         return out if out.ndim else complex(out)
+
+    def _values(self, x, exp):
+        """psi(x) and psi'(x), with exp = np.exp for arrays or cmath.exp for numbers."""
+        (power, rate), _ = _basis(self.sector, self.parameter)
+        term_a = self.coeff_a * exp(rate * x)
+        term_b = self.coeff_b * exp(-rate * x)
+        # d/dx x**n exp(r x) = r x**n exp(r x) + n exp(r x), for n = 0 or 1
+        if power:
+            return term_a * x + term_b, rate * (term_a * x - term_b) + term_a
+        return term_a + term_b, rate * (term_a - term_b)
 
 
 @dataclass(frozen=True)
@@ -138,53 +130,41 @@ class ScaleInvariantCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# closed-form integrals
+# sector bases, closed-form integrals and the boundary operator
 # ---------------------------------------------------------------------------
 
 
-def _eint(nu: complex, l: float) -> complex:
-    """Integral of exp(nu x) over [0, l], stable for small nu."""
+def _basis(sector: str, parameter) -> tuple:
+    """(power, rate) of a sector's basis functions x**power exp(rate x).
+
+    The first belongs to coeff_a and the second, always exp(-rate x), to
+    coeff_b: exp(+-ikx) on a positive level, exp(+-kappa x) on a negative
+    one, and x and 1 on the zero level.
+    """
+    if sector == SECTOR_ZERO:
+        return (1, 0.0), (0, -0.0)
+    rate = 1j * parameter if sector == SECTOR_POSITIVE else parameter
+    return (0, rate), (0, -rate)
+
+
+def _moment(n: int, nu: complex, l: float) -> complex:
+    """Integral of x**n exp(nu x) over [0, l], stable for small nu."""
     z = nu * l
     if abs(z) < 1e-8:
-        return l * (1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0)
-    return (cmath.exp(z) - 1.0) / nu
-
-
-def _xint(nu: complex, l: float) -> complex:
-    """Integral of x exp(nu x) over [0, l], stable for small nu."""
-    z = nu * l
-    if abs(z) < 1e-8:
-        return l * l * (0.5 + z / 3.0 + z * z / 8.0 + z * z * z / 30.0)
-    return (l * cmath.exp(z)) / nu - (cmath.exp(z) - 1.0) / (nu * nu)
-
-
-def _exp_rates(m: Mode):
-    if m.sector == SECTOR_POSITIVE:
-        return (1j * m.parameter, -1j * m.parameter)
-    return (m.parameter, -m.parameter)
+        return l ** (n + 1) * sum(z**j / (math.factorial(j) * (n + j + 1)) for j in range(4))
+    e = cmath.exp(z)
+    total = (e - 1.0) / nu
+    for j in range(1, n + 1):  # integration by parts
+        total = (l**j * e - j * total) / nu
+    return total
 
 
 def mode_inner(m1: Mode, m2: Mode, g: BoxGeometry) -> complex:
     """L2 inner product <m1, m2> on [0, l] from exact antiderivatives."""
-    l = g.l
-    if m1.sector == SECTOR_ZERO and m2.sector == SECTOR_ZERO:
-        a1, b1 = m1.coeff_a.conjugate(), m1.coeff_b.conjugate()
-        a2, b2 = m2.coeff_a, m2.coeff_b
-        return a1 * a2 * l**3 / 3.0 + (a1 * b2 + b1 * a2) * l**2 / 2.0 + b1 * b2 * l
-    if m1.sector == SECTOR_ZERO:
-        a1, b1 = m1.coeff_a.conjugate(), m1.coeff_b.conjugate()
-        r = _exp_rates(m2)
-        return sum(
-            c * (a1 * _xint(mu, l) + b1 * _eint(mu, l))
-            for c, mu in zip((m2.coeff_a, m2.coeff_b), r)
-        )
-    if m2.sector == SECTOR_ZERO:
-        return mode_inner(m2, m1, g).conjugate()
-    r1, r2 = _exp_rates(m1), _exp_rates(m2)
     total = 0j
-    for c1, mu1 in zip((m1.coeff_a, m1.coeff_b), r1):
-        for c2, mu2 in zip((m2.coeff_a, m2.coeff_b), r2):
-            total += c1.conjugate() * c2 * _eint(mu1.conjugate() + mu2, l)
+    for c1, (n1, r1) in zip((m1.coeff_a, m1.coeff_b), _basis(m1.sector, m1.parameter)):
+        for c2, (n2, r2) in zip((m2.coeff_a, m2.coeff_b), _basis(m2.sector, m2.parameter)):
+            total += c1.conjugate() * c2 * _moment(n1 + n2, r1.conjugate() + r2, g.l)
     return total
 
 
@@ -192,16 +172,22 @@ def _norm(m: Mode, g: BoxGeometry) -> float:
     return math.sqrt(max(0.0, mode_inner(m, m, g).real))
 
 
-# ---------------------------------------------------------------------------
-# boundary data and residuals
-# ---------------------------------------------------------------------------
+def _boundary_operator(p: U2Params):
+    """(Psi, Psi') -> (U - I) Psi + i L0 (U + I) Psi', zero on data meeting the conditions."""
+    U = to_matrix(p)
+    eye = np.eye(2)
+    lhs, rhs = U - eye, 1j * p.L0 * (U + eye)
+    return lambda psi, dpsi: lhs @ psi + rhs @ dpsi
 
 
 def boundary_data(m: Mode, g: BoxGeometry) -> BoundaryData:
-    """Boundary vectors of a mode on the box [0, l]."""
-    psi = np.array([m.psi(0.0), m.psi(g.l)], dtype=complex)
-    dpsi = np.array([m.dpsi(0.0), -m.dpsi(g.l)], dtype=complex)
-    return BoundaryData(psi_vec=psi, dpsi_vec=dpsi)
+    """Boundary vectors of a mode on the box [0, l].
+
+    The exponentials come from cmath.exp, so an exponent beyond the float
+    range raises OverflowError instead of turning into inf.
+    """
+    (v0, d0), (vl, dl) = (m._values(x, cmath.exp) for x in (0.0, g.l))
+    return BoundaryData(np.array([v0, vl], dtype=complex), np.array([d0, -dl], dtype=complex))
 
 
 def boundary_residual(m: Mode, p: U2Params, g: BoxGeometry) -> float:
@@ -211,43 +197,20 @@ def boundary_residual(m: Mode, p: U2Params, g: BoxGeometry) -> float:
     zero exactly when the mode satisfies the boundary conditions.
     """
     bd = boundary_data(m, g)
-    U = to_matrix(p)
-    eye = np.eye(2)
-    r = (U - eye) @ bd.psi_vec + 1j * p.L0 * (U + eye) @ bd.dpsi_vec
-    denom = math.sqrt(
-        float(np.sum(np.abs(bd.psi_vec) ** 2) + np.sum(np.abs(p.L0 * bd.dpsi_vec) ** 2))
-    )
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(r)) / denom
+    r = _boundary_operator(p)(bd.psi_vec, bd.dpsi_vec)
+    denom = math.hypot(np.linalg.norm(bd.psi_vec), np.linalg.norm(p.L0 * bd.dpsi_vec))
+    return float(np.linalg.norm(r)) / denom if denom else 0.0
 
 
-def _coefficient_matrix(p: U2Params, g: BoxGeometry, k: float, sector: str) -> np.ndarray:
-    """Matrix M(k) with M (A, B)^t = boundary-condition residual vector.
-
-    Columns are the boundary images of the two basis solutions exp(+-ikx)
-    (or exp(+-kappa x) for the negative sector).
-    """
-    U = to_matrix(p)
-    eye = np.eye(2)
-    l = g.l
-    if sector == SECTOR_POSITIVE:
-        ea, eb = cmath.exp(1j * k * l), cmath.exp(-1j * k * l)
-        rate = 1j * k
-    else:
-        ea, eb = math.exp(k * l), math.exp(-k * l)
-        rate = k
-    pa = np.array([1.0, ea], dtype=complex)
-    pb = np.array([1.0, eb], dtype=complex)
-    qa = rate * np.array([1.0, -ea], dtype=complex)
-    qb = -rate * np.array([1.0, -eb], dtype=complex)
-    col_a = (U - eye) @ pa + 1j * p.L0 * (U + eye) @ qa
-    col_b = (U - eye) @ pb + 1j * p.L0 * (U + eye) @ qb
-    return np.column_stack([col_a, col_b])
+def _coefficient_matrix(p: U2Params, g: BoxGeometry, sector: str, parameter) -> np.ndarray:
+    """M with M (A, B)^t the boundary residual; column j is the operator on basis function j."""
+    operator = _boundary_operator(p)
+    units = (boundary_data(Mode(sector, parameter, *c), g) for c in ((1.0, 0.0), (0.0, 1.0)))
+    return np.column_stack([operator(bd.psi_vec, bd.dpsi_vec) for bd in units])
 
 
 def _nullspace_modes(p, g, k, sector, mscale):
-    M = _coefficient_matrix(p, g, k, sector)
+    M = _coefficient_matrix(p, g, sector, k)
     _, sv, vh = np.linalg.svd(M)
     thresh = _RANK_RTOL * max(sv[0], _RANK_FLOOR * mscale)
     vecs = [vh[i].conj() for i in range(2) if sv[i] <= thresh]
@@ -302,22 +265,13 @@ def zero_mode(p: U2Params, g: BoxGeometry, tol: float = 1e-9) -> Mode:
     """Normalized zero-energy eigenfunction A x + B.
 
     Raises SubfamilyError when the existence condition does not hold within
-    `tol`.  The coefficients solve the boundary conditions with
-    Psi = (B, A l + B) and Psi' = (A, -A), through the same SVD route as the
-    other sectors.
+    `tol`.  The coefficients span the nullspace of the zero-sector
+    coefficient matrix, through the same SVD route as the other sectors.
     """
     if not zero_mode_exists(p, g, tol):
         raise SubfamilyError("no zero-energy state at this boundary point")
-    U = to_matrix(p)
-    eye = np.eye(2)
-    col_a = (U - eye) @ np.array([0.0, g.l], dtype=complex) + 1j * p.L0 * (
-        (U + eye) @ np.array([1.0, -1.0], dtype=complex)
-    )
-    col_b = (U - eye) @ np.array([1.0, 1.0], dtype=complex)
-    M = np.column_stack([col_a, col_b])
-    _, _, vh = np.linalg.svd(M)
-    v = vh[1].conj()
-    return normalize(Mode(SECTOR_ZERO, None, v[0], v[1]), g)
+    _, _, vh = np.linalg.svd(_coefficient_matrix(p, g, SECTOR_ZERO, None))
+    return normalize(Mode(SECTOR_ZERO, None, *vh[1].conj()), g)
 
 
 def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
@@ -405,8 +359,8 @@ def normalize(m: Mode, g: BoxGeometry) -> Mode:
         raise ZeroFunctionError("cannot normalize a vanishing mode")
     a, b = m.coeff_a / nrm, m.coeff_b / nrm
     scaled = Mode(m.sector, m.parameter, a, b, normalized=True)
-    v0 = scaled.psi(0.0)
-    d0 = g.l * scaled.dpsi(0.0)
+    v0, d0 = map(complex, scaled._values(0.0, cmath.exp))
+    d0 = g.l * d0
     ref = math.hypot(abs(v0), abs(d0))
     z = v0 if abs(v0) > 1e-8 * ref else d0
     phase = z.conjugate() / abs(z) if abs(z) > 0.0 else 1.0

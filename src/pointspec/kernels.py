@@ -28,12 +28,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
 
-from .eigenstates import ScaleInvariantCoefficients, eigenbasis, scale_invariant_coefficients
+from .eigenstates import ScaleInvariantCoefficients, scale_invariant_coefficients
 from .errors import ConstraintError, SubfamilyError, TailBoundError
 from .spectral import SECTOR_POSITIVE, BoxGeometry
 from .u2param import (
@@ -95,15 +94,11 @@ class ImageTerm:
     kind: str
     shift: float
 
-    def displacement(self, a: float, b: float) -> float:
-        return (b - a + self.shift) if self.kind == _DIRECT else (b + a + self.shift)
-
 
 @dataclass(frozen=True)
 class KernelTermList:
-    """Symbolic image-sum representation of a propagator."""
+    """Symbolic image-sum representation of a propagator (free Gaussians)."""
 
-    prefactor_rule: str
     terms: tuple
     geometry: BoxGeometry
 
@@ -135,51 +130,40 @@ def _check_positions(g: BoxGeometry, a, b):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
-    """`eigenbasis` flattened and cached per boundary point.
-
-    Returns a tuple of (energy, mode) pairs with degenerate partners listed
-    individually, plus the largest positive momentum retained.
-    """
-    basis = eigenbasis(p, g, n_levels)
-    pairs = tuple((lv.energy, m) for lv, modes in basis for m in modes)
-    k_top = max((lv.parameter for lv, _ in basis if lv.sector == SECTOR_POSITIVE), default=0.0)
-    return pairs, k_top
-
-
 def spectral_heat_kernel(
-    p: U2Params,
+    basis,
     g: BoxGeometry,
     a: float | np.ndarray,
     b: float | np.ndarray,
     tau,
-    n_levels: int,
     tol: float = 1e-10,
 ) -> complex | np.ndarray:
     """Truncated spectral sum sum_n exp(-E_n tau/hbar) psi_n(b) psi_n*(a).
 
-    The endpoints `a` and `b` are numbers or arrays that broadcast together;
-    numbers give a complex, arrays a complex array of the broadcast shape.
+    The sum runs over the modes of `basis`, the (Level, modes) pairs from
+    `eigenbasis` or a leading slice of them.  The endpoints `a` and `b` are
+    numbers or arrays that broadcast together; numbers give a complex,
+    arrays a complex array of the broadcast shape.
     Degenerate partners are summed individually; negative levels enter with
     their growing Boltzmann factor.  The value is Hermitian in the
     endpoints, K(a, b) = conj(K(b, a)); it is real at coincident points and
     on time-reversal-invariant boundary points, but genuinely complex on a
     twisted circle, whose winding paths carry phases.
 
-    Raises TailBoundError when n_levels is too small for the requested
+    Raises TailBoundError when the basis is too short for the requested
     tolerance `tol`, measured relative to the free-kernel prefactor: the
     neglected tail is bounded by the level density l/pi per branch times
     the Gaussian weight beyond the largest retained momentum.
     """
     t = tau_value(tau)
     a, b = _check_positions(g, a, b)
-    pairs, k_top = _eigenbasis(p, g, int(n_levels))
+    k_top = max((lv.parameter for lv, _ in basis if lv.sector == SECTOR_POSITIVE), default=0.0)
     c = g.hbar * t / (2.0 * g.mass)
     if k_top <= 0.0 or 8.0 * erfc(k_top * math.sqrt(c)) > tol:
         raise TailBoundError(
-            f"n_levels = {n_levels} leaves a spectral tail above {tol}"
+            f"a basis of {len(basis)} levels leaves a spectral tail above {tol}"
         )
+    pairs = [(lv.energy, m) for lv, modes in basis for m in modes]
     # modes on a trailing axis, summed elementwise: a BLAS contraction spent
     # milliseconds per call waking OpenBLAS threads (2 cores), more than the sum
     w = np.exp(-np.array([energy for energy, _ in pairs]) * t / g.hbar)
@@ -311,7 +295,7 @@ def build_image_terms(p: U2Params, g: BoxGeometry, n_images: int) -> KernelTermL
             w = (-1.0) ** nu if alternating else 1.0
             terms.append(ImageTerm(complex(w), _DIRECT, 2.0 * nu * g.l))
             terms.append(ImageTerm(complex(mirror_sign * w), _MIRROR, 2.0 * nu * g.l))
-        return KernelTermList("free_gaussian", tuple(terms), g)
+        return KernelTermList(tuple(terms), g)
     if flags.scale_invariant:
         theta = twist_angle(p)
         b_i = p.beta.imag
@@ -321,13 +305,13 @@ def build_image_terms(p: U2Params, g: BoxGeometry, n_images: int) -> KernelTermL
             base = -1.0 if b_i > 0.0 else 1.0
             for nu in range(-n_images, n_images + 1):
                 terms.append(ImageTerm(complex(base**nu), _DIRECT, nu * g.l))
-            return KernelTermList("free_gaussian", tuple(terms), g)
+            return KernelTermList(tuple(terms), g)
         c = scale_invariant_coefficients(p, g, +1, 0)
         for nu in range(-n_images, n_images + 1):
             cn, dn = image_pair_weights(c, theta, nu)
             terms.append(ImageTerm(g.l * cn, _DIRECT, nu * g.l))
             terms.append(ImageTerm(-g.l * dn, _MIRROR, nu * g.l))
-        return KernelTermList("free_gaussian", tuple(terms), g)
+        return KernelTermList(tuple(terms), g)
     raise SubfamilyError(
         "no closed image sum for this boundary point; use the spectral kernel"
     )

@@ -98,12 +98,15 @@ def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
     H = _reduced_matrix(p, g, cfg.n_points)
     sigma = cfg.shift if cfg.shift is not None else _default_shift(p, g)
     k_ask = min(n_levels + 2, cfg.n_points - 2)
+    # seeded for reproducible output; a constant vector misses odd modes of a symmetric box
+    v0 = np.random.default_rng(0).standard_normal(H.shape[0])
     try:
         vals = eigs(
             H,
             k=k_ask,
             sigma=sigma,
             which="LM",
+            v0=v0,
             return_eigenvectors=False,
             maxiter=5000,
         )

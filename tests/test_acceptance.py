@@ -17,6 +17,7 @@ from pointspec import (
     FdConfig,
     boundary_residual,
     build_image_terms,
+    eigenbasis,
     fd_spectrum,
     find_negative_roots,
     find_positive_roots,
@@ -195,10 +196,10 @@ def _kernel_family_worst(p, times):
         pref = gaussian_prefactor(G1, tau)
         n_img = images_needed(G1, tau)
         terms = build_image_terms(p, G1, n_img)
-        n_lev = spectral_levels_needed(p, G1, tau)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, tau))
         for a in np.linspace(0.0, 1.0, 5):
             for b in np.linspace(0.0, 1.0, 5):
-                sv = spectral_heat_kernel(p, G1, a, b, tau, n_lev, tol=1e-9)
+                sv = spectral_heat_kernel(basis, G1, a, b, tau, tol=1e-9)
                 iv = image_heat_kernel(terms, a, b, tau, n_img)
                 worst = max(worst, abs(sv - iv) / pref)
     return worst

@@ -9,6 +9,7 @@ from pointspec import (
     BoxGeometry,
     Mode,
     build_image_terms,
+    eigenbasis,
     gaussian_prefactor,
     image_heat_kernel,
     make_u2,
@@ -209,8 +210,9 @@ class TestKernelCompareGrid:
         for r in doc["results"]:
             tau = r["tau"]
             terms = build_image_terms(p, g, r["n_images"])
+            basis = eigenbasis(p, g, r["n_levels"])
             worst = max(
-                abs(spectral_heat_kernel(p, g, a, b, tau, r["n_levels"], tol=1e-9)
+                abs(spectral_heat_kernel(basis, g, a, b, tau, tol=1e-9)
                     - image_heat_kernel(terms, a, b, tau, r["n_images"]))
                 for a in xs for b in xs
             )
@@ -341,6 +343,23 @@ class TestOracleCheckCommand:
         )
         assert code == 3
 
+    def test_explicit_tol_is_used(self, tmp_path):
+        # the default 5e-3 passes here; an explicit 1e-9 must be applied as given
+        args = ["oracle-check", *DIRICHLET_ARGS, "--levels", "3", "--grid", "1500"]
+        assert run(tmp_path, *args)[0] == 0
+        assert run(tmp_path, *args, "--tol", "1e-9")[0] == 3
+
+    def test_repeated_runs_print_the_same(self, capsys):
+        argv = [
+            "oracle-check", "--xi", "0.7", "--alpha-re", "0.6", "--alpha-im", "0",
+            "--beta-re", "0", "--beta-im", "0.8", "--L0", "0.9", "--grid", "4000",
+        ]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path):
@@ -366,6 +385,13 @@ class TestConfigFile:
         code, _ = run(tmp_path, "spectrum", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["k-max = 5", "k_max = 5"])
+    def test_k_max_key_rejected(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, _ = run(tmp_path, "spectrum", "--config", str(cfg))
+        assert code == 2
+
 
 class TestSerialization:
     def test_reals_roundtrip_17_digits(self, tmp_path):
@@ -376,4 +402,9 @@ class TestSerialization:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--short", "1"])
+        assert exc.value.code == 2
+
+    def test_k_max_flag_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--k-max", "5"])
         assert exc.value.code == 2

@@ -12,6 +12,7 @@ from pointspec import (
     SubfamilyError,
     TailBoundError,
     build_image_terms,
+    eigenbasis,
     gaussian_prefactor,
     halfline_image_kernel,
     image_heat_kernel,
@@ -45,7 +46,7 @@ def _kernel_pair(p, g, a, b, tau):
     n_img = images_needed(g, tau)
     terms = build_image_terms(p, g, n_img)
     n_lev = spectral_levels_needed(p, g, tau)
-    sv = spectral_heat_kernel(p, g, a, b, tau, n_lev, tol=1e-9)
+    sv = spectral_heat_kernel(eigenbasis(p, g, n_lev), g, a, b, tau, tol=1e-9)
     iv = image_heat_kernel(terms, a, b, tau, n_img)
     return sv, iv
 
@@ -58,36 +59,36 @@ class TestSpectralKernel:
 
     def test_long_time_projects_on_ground_state(self):
         tau = _tau(60.0)
-        val = spectral_heat_kernel(NEUMANN, G1, 0.3, 0.8, tau, 8, tol=1e-6)
+        val = spectral_heat_kernel(eigenbasis(NEUMANN, G1, 8), G1, 0.3, 0.8, tau, tol=1e-6)
         assert val == pytest.approx(1.0, abs=1e-10)  # constant zero mode, 1/l
 
     def test_tail_bound_error(self):
         with pytest.raises(TailBoundError):
-            spectral_heat_kernel(DIRICHLET, G1, 0.4, 0.6, _tau(0.02), 3)
+            spectral_heat_kernel(eigenbasis(DIRICHLET, G1, 3), G1, 0.4, 0.6, _tau(0.02))
 
     def test_hermitian_in_endpoints(self):
         tau = _tau(0.25)
         p = scale_invariant_point(RNG, beta_im_margin=0.1)
-        n_lev = spectral_levels_needed(p, G1, tau)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, tau))
         for _ in range(5):
             a, b = RNG.uniform(0, 1, size=2)
-            v1 = spectral_heat_kernel(p, G1, a, b, tau, n_lev)
-            v2 = spectral_heat_kernel(p, G1, b, a, tau, n_lev)
+            v1 = spectral_heat_kernel(basis, G1, a, b, tau)
+            v2 = spectral_heat_kernel(basis, G1, b, a, tau)
             assert v1 == pytest.approx(v2.conjugate(), abs=1e-10)
 
     def test_real_on_time_reversal_invariant_families(self):
         tau = _tau(0.2)
         for p in (DIRICHLET, NEUMANN, make_u2(math.pi / 2, 1j, 0.0)):
-            n_lev = spectral_levels_needed(p, G1, tau)
+            basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, tau))
             for a, b in [(0.15, 0.8), (0.4, 0.4)]:
-                v = spectral_heat_kernel(p, G1, a, b, tau, n_lev)
+                v = spectral_heat_kernel(basis, G1, a, b, tau)
                 assert abs(v.imag) < 1e-10
 
     def test_real_at_coincident_points(self):
         tau = _tau(0.2)
         p = scale_invariant_point(RNG, beta_im_margin=0.1)
-        n_lev = spectral_levels_needed(p, G1, tau)
-        v = spectral_heat_kernel(p, G1, 0.37, 0.37, tau, n_lev)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, tau))
+        v = spectral_heat_kernel(basis, G1, 0.37, 0.37, tau)
         assert abs(v.imag) < 1e-10 and v.real > 0
 
     def test_twisted_circle_is_genuinely_complex(self):
@@ -95,17 +96,17 @@ class TestSpectralKernel:
         theta = 1.0
         p = make_u2(math.pi / 2, 0.0, complex(-math.sin(theta), -math.cos(theta)))
         tau = _tau(0.3)
-        n_lev = spectral_levels_needed(p, G1, tau)
-        v = spectral_heat_kernel(p, G1, 0.2, 0.8, tau, n_lev)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, tau))
+        v = spectral_heat_kernel(basis, G1, 0.2, 0.8, tau)
         assert abs(v.imag) > 1e-3
 
     def test_positive_semidefinite_on_grid(self):
         tau = _tau(0.3)
         p = scale_invariant_point(RNG, beta_im_margin=0.1)
-        n_lev = spectral_levels_needed(p, G1, tau)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, tau))
         xs = np.linspace(0.05, 0.95, 7)
         K = np.array(
-            [[spectral_heat_kernel(p, G1, a, b, tau, n_lev) for b in xs] for a in xs]
+            [[spectral_heat_kernel(basis, G1, a, b, tau) for b in xs] for a in xs]
         )
         assert np.linalg.norm(K - K.conj().T) < 1e-10
         ev = np.linalg.eigvalsh(K)
@@ -113,7 +114,7 @@ class TestSpectralKernel:
 
     def test_position_validation(self):
         with pytest.raises(ConstraintError):
-            spectral_heat_kernel(DIRICHLET, G1, -0.1, 0.5, 1.0, 8)
+            spectral_heat_kernel(eigenbasis(DIRICHLET, G1, 8), G1, -0.1, 0.5, 1.0)
 
 
 class TestImageKernel:
@@ -161,7 +162,7 @@ ARRAY_POINTS = {
 
 def _kernel_setup(p, tau):
     n_img = images_needed(G1, tau)
-    return build_image_terms(p, G1, n_img), n_img, spectral_levels_needed(p, G1, tau)
+    return build_image_terms(p, G1, n_img), n_img, eigenbasis(p, G1, spectral_levels_needed(p, G1, tau))
 
 
 class TestArrayKernels:
@@ -171,15 +172,15 @@ class TestArrayKernels:
     @pytest.mark.parametrize("p", ARRAY_POINTS.values(), ids=ARRAY_POINTS.keys())
     def test_grid_matches_scalar_calls(self, p, theta_hat):
         tau = _tau(theta_hat)
-        terms, n_img, n_lev = _kernel_setup(p, tau)
+        terms, n_img, basis = _kernel_setup(p, tau)
         tol = 1e-12 * gaussian_prefactor(G1, tau)
-        s_ref = np.array([[spectral_heat_kernel(p, G1, a, b, tau, n_lev) for b in self.XS]
+        s_ref = np.array([[spectral_heat_kernel(basis, G1, a, b, tau) for b in self.XS]
                           for a in self.XS])
         i_ref = np.array([[image_heat_kernel(terms, a, b, tau, n_img) for b in self.XS]
                           for a in self.XS])
         for sparse in (False, True):
             a, b = np.meshgrid(self.XS, self.XS, indexing="ij", sparse=sparse)
-            s_val = spectral_heat_kernel(p, G1, a, b, tau, n_lev)
+            s_val = spectral_heat_kernel(basis, G1, a, b, tau)
             i_val = image_heat_kernel(terms, a, b, tau, n_img)
             assert s_val.shape == i_val.shape == (9, 9)
             assert np.max(np.abs(s_val - s_ref)) <= tol
@@ -188,19 +189,19 @@ class TestArrayKernels:
     @pytest.mark.parametrize("p", ARRAY_POINTS.values(), ids=ARRAY_POINTS.keys())
     def test_grid_matrix_is_hermitian(self, p):
         tau = _tau(0.1)
-        terms, n_img, n_lev = _kernel_setup(p, tau)
+        terms, n_img, basis = _kernel_setup(p, tau)
         tol = 1e-12 * gaussian_prefactor(G1, tau)
         a, b = np.meshgrid(self.XS, self.XS, indexing="ij")
-        for K in (spectral_heat_kernel(p, G1, a, b, tau, n_lev),
+        for K in (spectral_heat_kernel(basis, G1, a, b, tau),
                   image_heat_kernel(terms, a, b, tau, n_img)):
             assert np.max(np.abs(K - K.conj().T)) <= tol
 
     def test_broadcast_shape_and_scalar_type(self):
         p = ARRAY_POINTS["sphere"]
         tau = _tau(0.1)
-        terms, n_img, n_lev = _kernel_setup(p, tau)
+        terms, n_img, basis = _kernel_setup(p, tau)
         kernels = (
-            lambda a, b: spectral_heat_kernel(p, G1, a, b, tau, n_lev),
+            lambda a, b: spectral_heat_kernel(basis, G1, a, b, tau),
             lambda a, b: image_heat_kernel(terms, a, b, tau, n_img),
         )
         for kernel in kernels:
@@ -218,13 +219,13 @@ class TestArrayKernels:
     def test_one_out_of_box_entry_raises(self, where, bad):
         p = ARRAY_POINTS["twisted-circle"]
         tau = _tau(0.1)
-        terms, n_img, n_lev = _kernel_setup(p, tau)
+        terms, n_img, basis = _kernel_setup(p, tau)
         good = np.full((4, 5), 0.5)
         worse = good.copy()
         worse[2, 3] = bad
         a, b = (worse, good) if where == "a" else (good, worse)
         with pytest.raises(ConstraintError):
-            spectral_heat_kernel(p, G1, a, b, tau, n_lev)
+            spectral_heat_kernel(basis, G1, a, b, tau)
         with pytest.raises(ConstraintError):
             image_heat_kernel(terms, a, b, tau, n_img)
 
@@ -232,13 +233,13 @@ class TestArrayKernels:
         p = ARRAY_POINTS["wall-inf-0"]
         xs = np.linspace(0.0, 1.0, 5)
         with pytest.raises(TailBoundError):
-            spectral_heat_kernel(p, G1, xs, xs, _tau(0.02), 3)
+            spectral_heat_kernel(eigenbasis(p, G1, 3), G1, xs, xs, _tau(0.02))
         terms = build_image_terms(p, G1, 40)
         with pytest.raises(TailBoundError):
             image_heat_kernel(terms, xs, xs, _tau(5.0), 2)
         with pytest.raises(TailBoundError):
             image_heat_kernel(terms, xs, xs, _tau(0.1), 1)
-        empty = KernelTermList("free_gaussian", (), G1)
+        empty = KernelTermList((), G1)
         with pytest.raises(TailBoundError):
             image_heat_kernel(empty, xs, xs, _tau(0.1), 4)
 
@@ -305,7 +306,7 @@ class TestBuildImageTerms:
             cn, dn = image_pair_weights(c, theta, nu)
             winding.append(ImageTerm(G1.l * cn, "direct", nu * G1.l))
             winding.append(ImageTerm(-G1.l * dn, "mirror", nu * G1.l))
-        terms_wind = KernelTermList("free_gaussian", tuple(winding), G1)
+        terms_wind = KernelTermList(tuple(winding), G1)
         for a, b in [(0.2, 0.9), (0.0, 0.4), (0.65, 0.65)]:
             v1 = image_heat_kernel(terms_sep, a, b, tau, n_img)
             v2 = image_heat_kernel(terms_wind, a, b, tau, n_img)
@@ -410,17 +411,17 @@ class TestSemigroup:
         if p is None:
             p = scale_invariant_point(np.random.default_rng(5), beta_im_margin=0.1)
         tau1, tau2 = _tau(0.15), _tau(0.35)
-        n_lev = spectral_levels_needed(p, G1, tau1)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, tau1))
         a, b = 0.3, 0.75
 
         def integrand(x):
-            return spectral_heat_kernel(p, G1, a, x, tau1, n_lev) * spectral_heat_kernel(
-                p, G1, x, b, tau2, n_lev
+            return spectral_heat_kernel(basis, G1, a, x, tau1) * spectral_heat_kernel(
+                basis, G1, x, b, tau2
             )
 
         re, _ = quad(lambda x: integrand(x).real, 0.0, 1.0, limit=100)
         im, _ = quad(lambda x: integrand(x).imag, 0.0, 1.0, limit=100)
-        direct = spectral_heat_kernel(p, G1, a, b, tau1 + tau2, n_lev)
+        direct = spectral_heat_kernel(basis, G1, a, b, tau1 + tau2)
         assert complex(re, im) == pytest.approx(direct, abs=1e-7)
 
 
