@@ -168,10 +168,6 @@ def mode_inner(m1: Mode, m2: Mode, g: BoxGeometry) -> complex:
     return total
 
 
-def _norm(m: Mode, g: BoxGeometry) -> float:
-    return math.sqrt(max(0.0, mode_inner(m, m, g).real))
-
-
 def _boundary_operator(p: U2Params):
     """(Psi, Psi') -> (U - I) Psi + i L0 (U + I) Psi', zero on data meeting the conditions."""
     U = to_matrix(p)
@@ -354,7 +350,7 @@ def normalize(m: Mode, g: BoxGeometry) -> Mode:
     The phase is fixed by rotating the first non-vanishing of psi(0) and
     psi'(0) onto the positive real axis.
     """
-    nrm = _norm(m, g)
+    nrm = math.sqrt(max(0.0, mode_inner(m, m, g).real))
     if nrm <= 0.0 or not math.isfinite(nrm):
         raise ZeroFunctionError("cannot normalize a vanishing mode")
     a, b = m.coeff_a / nrm, m.coeff_b / nrm

@@ -131,7 +131,7 @@ def _check_positions(g: BoxGeometry, a, b):
 
 
 def spectral_heat_kernel(
-    basis,
+    basis: tuple,
     g: BoxGeometry,
     a: float | np.ndarray,
     b: float | np.ndarray,
