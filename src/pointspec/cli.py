@@ -371,14 +371,15 @@ def _cmd_kernel_compare(cfg):
     n_grid = cfg["grid"] or 5
     points = [g.l * i / (n_grid - 1) for i in range(n_grid)] if n_grid > 1 else [g.l / 2]
     a, b = np.meshgrid(points, points, indexing="ij", sparse=True)
+    # image terms first: a point without a closed image sum fails before any solve
+    images = [kernels.images_needed(g, tau) for tau in taus]
+    terms = [kernels.build_image_terms(p, g, n_img) for n_img in images]
     needs = [kernels.spectral_levels_needed(p, g, tau) for tau in taus]
     basis = eigenbasis(p, g, max(needs))
     results = []
-    for tau, n_lev in zip(taus, needs):
-        n_img = kernels.images_needed(g, tau)
-        terms = kernels.build_image_terms(p, g, n_img)
+    for tau, n_img, tau_terms, n_lev in zip(taus, images, terms, needs):
         s_val = kernels.spectral_heat_kernel(basis[:n_lev], g, a, b, tau, tol=1e-9)
-        i_val = kernels.image_heat_kernel(terms, a, b, tau, n_img)
+        i_val = kernels.image_heat_kernel(tau_terms, a, b, tau, n_img)
         worst = float(np.max(np.abs(s_val - i_val)))
         bound = KERNEL_BOUND * kernels.gaussian_prefactor(g, tau)
         results.append(

@@ -168,6 +168,14 @@ class TestKernelCompareCommand:
         )
         assert code == 2  # finite Robin walls have no closed image sum
 
+    def test_unsupported_family_is_refused_before_the_eigenbasis(self, tmp_path):
+        # attractive Robin walls in a long box: the eigenbasis would overflow
+        code, _ = run(
+            tmp_path, "kernel-compare", "--xi", repr(math.pi / 2), "--alpha-re", "1",
+            "--beta-re", "0", "--beta-im", "0", "--mass", "0.75", "--length", "440",
+        )
+        assert code == 2
+
 
 #: kernel-compare --grid 9 at three solvable points, with (n_levels, n_images,
 #: bound, pass) per default time as the scalar per-pair implementation printed
