@@ -261,3 +261,172 @@ class TestStructuralInvariants:
             ]
             for a, b in zip(labels, labels[1:]):
                 assert a != b, f"two adjacent {a} roots: interlacing violated"
+
+
+# ---------------------------------------------------------------------------
+# reference root finder: the scalar bracketing finder, one brentq per bracket
+# ---------------------------------------------------------------------------
+
+_REF_STEP = math.pi / 16.0
+_REF_RTOL = 4 * np.finfo(float).eps
+_REF_TOUCH = 1e-10
+_REF_FLOOR = 1e-9
+
+
+def _ref_coeffs(p):
+    s, c = math.sin(p.xi), math.cos(p.xi)
+    return s, c - p.alpha.real, c + p.alpha.real, p.beta.imag
+
+
+def _ref_pos(u, lam, s, c1, c2, b_i):
+    ul = u * lam
+    return 2.0 * ul * (b_i + s * np.cos(u)) + (c1 + c2 * ul**2) * np.sin(u)
+
+
+def _ref_pos_d(u, lam, s, c1, c2, b_i):
+    ul = u * lam
+    return (2.0 * lam * (b_i + s * np.cos(u)) - 2.0 * ul * s * np.sin(u)
+            + 2.0 * c2 * lam * ul * np.sin(u) + (c1 + c2 * ul**2) * np.cos(u))
+
+
+def _ref_neg(v, lam, s, c1, c2, b_i):
+    vl, em = v * lam, np.exp(-v)
+    em2 = em * em
+    return 4.0 * vl * b_i * em + 2.0 * vl * s * (1.0 + em2) + (c1 - c2 * vl**2) * (1.0 - em2)
+
+
+def _ref_neg_d(v, lam, s, c1, c2, b_i):
+    vl, em = v * lam, np.exp(-v)
+    em2 = em * em
+    return (4.0 * lam * b_i * em * (1.0 - v) + 2.0 * lam * s * (1.0 + em2)
+            - 4.0 * vl * s * em2 - 2.0 * c2 * lam * vl * (1.0 - em2)
+            + (c1 - c2 * vl**2) * 2.0 * em2)
+
+
+def _ref_scan(f, df, grid, lam):
+    from scipy.optimize import brentq
+
+    sign_d = np.sign(df(grid))
+    extrema = [brentq(df, grid[i], grid[i + 1], rtol=_REF_RTOL, xtol=1e-15)
+               for i in np.nonzero(sign_d[:-1] * sign_d[1:] < 0)[0]]
+    breaks = np.unique(np.concatenate([[grid[0]], extrema, [grid[-1]]]))
+    fb = f(breaks)
+    is_ext = np.isin(breaks, extrema)
+    roots = []
+    consumed = np.zeros(len(breaks), dtype=bool)
+    for j in range(1, len(breaks) - 1):
+        if is_ext[j] and fb[j - 1] * fb[j + 1] > 0.0:
+            if abs(fb[j]) <= _REF_TOUCH * max(1.0, (breaks[j] * lam) ** 2):
+                roots.append((breaks[j], 2))
+                consumed[j] = True
+    for j in range(len(breaks) - 1):
+        if consumed[j] or consumed[j + 1]:
+            continue
+        if fb[j] == 0.0:
+            if j > 0:
+                roots.append((breaks[j], 1))
+            continue
+        if fb[j] * fb[j + 1] < 0.0:
+            roots.append((brentq(f, breaks[j], breaks[j + 1], rtol=_REF_RTOL, xtol=1e-15), 1))
+    return sorted(roots)
+
+
+def _ref_positive(p, g, k_max):
+    lam, cs = p.L0 / g.l, _ref_coeffs(p)
+    u_max = k_max * g.l
+    n = max(2, int(math.ceil((u_max - _REF_FLOOR) / _REF_STEP)) + 1)
+    roots = _ref_scan(lambda u: _ref_pos(u, lam, *cs), lambda u: _ref_pos_d(u, lam, *cs),
+                      np.linspace(_REF_FLOOR, u_max, n), lam)
+    return [(float(u) / g.l, m) for u, m in roots if u > _REF_FLOOR * (1.0 + 1e-6)]
+
+
+def _ref_negative(p, g):
+    lam, cs = p.L0 / g.l, _ref_coeffs(p)
+    v = max(10.0, 4.0 / lam, 4.0 * lam)
+    while True:
+        vals = _ref_neg(np.linspace(v, 2.0 * v, 129), lam, *cs)
+        if np.all(vals > 0.0) or np.all(vals < 0.0):
+            v_max = 2.0 * v
+            break
+        v *= 2.0
+    grids = [np.linspace(_REF_FLOOR, min(12.0, v_max), 768)]
+    start = min(12.0, v_max)
+    while start < v_max * (1.0 - 1e-12):
+        stop = min(2.0 * start, v_max)
+        grids.append(np.linspace(start, stop, 257))
+        start = stop
+    roots = []
+    for grid in grids:
+        for v, m in _ref_scan(lambda v: _ref_neg(v, lam, *cs),
+                              lambda v: _ref_neg_d(v, lam, *cs), grid, lam):
+            if v <= _REF_FLOOR * (1.0 + 1e-6):
+                continue
+            if roots and abs(v - roots[-1][0]) <= 1e-12 * max(1.0, v):
+                continue
+            roots.append((v, m))
+    return [(float(v) / g.l, m) for v, m in roots]
+
+
+def _ref_spectrum(p, g, n_levels):
+    """[(sector, parameter, multiplicity)] of the n_levels lowest levels."""
+    esc = g.hbar**2 / (2.0 * g.mass)
+    levels = [(-esc * kap**2, "negative", kap, m)
+              for kap, m in sorted(_ref_negative(p, g), reverse=True)]
+    has_zero = zero_mode_exists(p, g)
+    if has_zero:
+        levels.append((0.0, "zero", None, 1))
+    n_pos = max(0, n_levels - len(levels))
+    k_max = (n_pos + 2) * math.pi / g.l * 1.25
+    while True:
+        pos = _ref_positive(p, g, k_max)
+        if has_zero:
+            pos = [(k, m) for k, m in pos if k * g.l >= 1e-3]
+        if len(pos) >= n_pos:
+            break
+        k_max *= 1.6
+    levels += [(esc * k**2, "positive", k, m) for k, m in pos]
+    levels.sort(key=lambda lv: lv[0])
+    return [lv[1:] for lv in levels[:n_levels]]
+
+
+def _reference_cases():
+    rng = np.random.default_rng(20260417)
+    cases = [(haar_point(rng), BoxGeometry(l=float(np.exp(rng.uniform(-1, 1)))), 24)
+             for _ in range(40)]
+    for b_i in (1.0, -1.0):
+        for L0 in (0.3, 1.0, 2.5):
+            cases.append((make_u2(math.pi / 2, 0.0, complex(0.0, b_i), L0), G1, 24))
+    for xi, alpha in ((0.0, -1.0), (0.0, 1.0), (math.pi / 2, 1j), (math.pi / 2, -1j)):
+        for L0 in (0.2, 1.0, 5.0):
+            cases.append((make_u2(xi, alpha, 0.0, L0), G1, 24))
+    for _ in range(6):
+        theta = float(rng.uniform(0.05, 0.95)) * math.pi
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        beta = complex(sign * math.sin(theta), -math.cos(theta))
+        cases.append((make_u2(math.pi / 2, 0.0, beta, float(np.exp(rng.uniform(-1, 1)))), G1, 24))
+    cases.append((make_u2(math.pi / 2, 1.0, 0.0), BoxGeometry(l=10.0, hbar=1.0, mass=0.5), 12))
+    cases.append((haar_point(rng), BoxGeometry(l=1.3, hbar=1.0, mass=0.75), 256))
+    return cases
+
+
+class TestRootReference:
+    """`spectrum` against the scalar finder with one brentq per bracket."""
+
+    # the Im beta = -1 pole at L0 = 2.5 l touches zero at the kappa l floor
+    @pytest.mark.filterwarnings("ignore:tangential")
+    def test_levels_match_reference(self):
+        eps = np.finfo(float).eps
+        n_roots = n_tight = 0
+        for p, g, n in _reference_cases():
+            ref = _ref_spectrum(p, g, n)
+            got = [(lv.sector, lv.parameter, lv.multiplicity) for lv in spectrum(p, g, n).levels]
+            assert [(s, m) for s, _, m in got] == [(s, m) for s, _, m in ref]
+            for (_, x, _), (_, y, _) in zip(got, ref):
+                if y is None:
+                    assert x is None
+                    continue
+                assert abs(x - y) <= 1e-12 * abs(y)
+                n_roots += 1
+                n_tight += abs(x - y) <= 4 * eps * abs(y)
+        assert n_roots > 1500
+        assert n_tight >= 0.99 * n_roots
