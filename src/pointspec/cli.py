@@ -25,6 +25,7 @@ from .errors import ConstraintError, ContradictionError, PointspecError
 from .spectral import (
     SECTOR_NEGATIVE,
     BoxGeometry,
+    spectra,
     spectral_fingerprint,
     spectrum,
     zero_mode_exists,
@@ -460,9 +461,7 @@ def _project_point(base, swept):
     return point, scale
 
 
-def _scan_row(base, swept, g):
-    p, scale = _project_point(base, swept)
-    spec = spectrum(p, g, 8)
+def _scan_row(p, scale, spec, g):
     fp = spectral_fingerprint(p)
     row = {
         **_point_row(p),
@@ -497,7 +496,9 @@ def _cmd_scan(cfg):
         if n1 == n2:
             raise ConstraintError("the two sweep axes must differ")
         swept = [{n1: a, n2: b} for a in v1 for b in v2]
-    rows = [_scan_row(base, s, g) for s in swept]
+    projected = [_project_point(base, s) for s in swept]
+    specs = spectra([p for p, _ in projected], g, 8)
+    rows = [_scan_row(p, scale, spec, g) for (p, scale), spec in zip(projected, specs)]
     payload = {
         "command": "scan",
         "geometry": _geometry_dict(g),

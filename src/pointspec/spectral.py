@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConstraintError, ContradictionError
 from .u2param import U2Params
@@ -44,6 +43,7 @@ __all__ = [
     "find_negative_roots",
     "negative_search_ceiling",
     "spectrum",
+    "spectra",
     "spectral_fingerprint",
 ]
 
@@ -176,6 +176,13 @@ def _pos_resid_deriv(u, lam, s, c1, c2, b_i):
     )
 
 
+def _pos_resid_deriv2(u, lam, s, c1, c2, b_i):
+    ul = u * lam
+    return (2.0 * c2 * lam**2 - 4.0 * lam * s - (c1 + c2 * ul**2)) * np.sin(u) + (
+        4.0 * c2 * lam * ul - 2.0 * ul * s
+    ) * np.cos(u)
+
+
 def _neg_resid_scaled(v, lam, s, c1, c2, b_i):
     """2 exp(-v) times the negative-level residual; same roots, no overflow."""
     vl = v * lam
@@ -197,62 +204,253 @@ def _neg_resid_scaled_deriv(v, lam, s, c1, c2, b_i):
     )
 
 
-def _residual_scale(u, lam):
-    return max(1.0, (u * lam) ** 2)
+def _neg_resid_scaled_deriv2(v, lam, s, c1, c2, b_i):
+    vl = v * lam
+    em = np.exp(-v)
+    em2 = em * em
+    return (
+        4.0 * lam * b_i * em * (v - 2.0)
+        - 2.0 * c2 * lam**2 * (1.0 - em2)
+        + (8.0 * s * (vl - lam) - 8.0 * c2 * lam * vl - 4.0 * (c1 - c2 * vl**2)) * em2
+    )
 
 
-def _scan_segment(f, df, grid, lam, touch_tol, on_double=None):
-    """All roots of f on [grid[0], grid[-1]] with multiplicities.
+# ---------------------------------------------------------------------------
+# batched root finding: many segments of many points in one array pass
+# ---------------------------------------------------------------------------
 
+#: refinement steps before a bracket counts as stuck; Brent's halving rule
+#: closes any bracket of the grids in about a hundred
+_MAX_STEPS = 200
+
+
+def _coeffs(points, g: BoxGeometry):
+    """Residual parameters (lam, s, c1, c2, b_i) of each point, one column per point."""
+    rows = [(p.L0 / g.l, *_fingerprint_coeffs(p)) for p in points]
+    return np.array(rows, dtype=float).reshape(-1, 5).T
+
+
+def _refine(f, df, a, b, fa, fb, P):
+    """The root of f in each bracket [a, b] whose ends fa, fb differ in sign.
+
+    Bracketed Newton on every bracket at once.  Each step evaluates f at the
+    iterate x and at x -+ tol, tol = 1e-15 + _ROOT_RTOL |x|, and keeps the
+    tightest sign-change bracket among those points and the old ends; the
+    probes step over the residual's rounding noise, which would stall plain
+    Newton.  A bracket at most 2 tol wide is done, and its end with the
+    smaller |f| is the root.  The first iterate is the secant point of the
+    bracket, and the next is the Newton step from x; the secant point of the
+    new bracket replaces a Newton step that leaves it, and its midpoint is
+    taken when the bracket has not halved in two steps (Brent's rule), so
+    that every bracket closes.  P holds each bracket's residual parameters.
+    """
+    m = len(a)
+    out = np.empty(m)
+    # rows: a, fa, b, fb, x, the bracket width one and two steps back, the
+    # output slot, then the residual parameters; finished columns are dropped
+    state = np.empty((8 + len(P), m))
+    state[0], state[1], state[2], state[3] = a, fa, b, fb
+    state[4] = a - fa * (b - a) / (fb - fa)
+    state[5], state[6], state[7], state[8:] = b - a, np.inf, np.arange(m), P
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            m = state.shape[1]
+            if not m:
+                return out
+            a, fa, b, fb, x, w1, w2 = state[:7]
+            P = state[8:]
+            tol = 1e-15 + _ROOT_RTOL * np.abs(x)
+            # points (row 0) and values (row 1) of a, x - tol, x, x + tol, b
+            pv = np.empty((2, 5, m))
+            pts, vals = pv
+            pts[0], pts[2], pts[4] = a, x, b
+            np.maximum(x - tol, a, out=pts[1])
+            np.minimum(x + tol, b, out=pts[3])
+            vals[0], vals[4] = fa, fb
+            vals[1:4] = f(pts[1:4], *P)
+            width = np.where(vals[:-1] * vals[1:] <= 0.0, pts[1:] - pts[:-1], np.inf)
+            j = width.argmin(axis=0)
+            cols = np.arange(m)
+            state[0:2], state[2:4] = pv[:, j, cols], pv[:, j + 1, cols]
+            w = b - a  # a and b are views of the new bracket now
+            xn = x - vals[2] / df(x, *P)
+            xn = np.where((xn > a) & (xn < b), xn, a - fa * w / (fb - fa))
+            state[4] = np.where(w > 0.5 * w2, 0.5 * (a + b), xn)
+            state[6] = w1
+            state[5] = w
+            done = w <= 2.0 * tol
+            if done.any():
+                out[state[7, done].astype(int)] = np.where(np.abs(fa) <= np.abs(fb), a, b)[done]
+                state = state[:, ~done]
+    raise ContradictionError("root refinement failed to converge")
+
+
+def _scan_segments(f, df, d2f, start, stop, num, P):
+    """All roots of f on the grids linspace(start[i], stop[i], num[i]), with multiplicities.
+
+    P holds each segment's residual parameters, one column per segment.
     Breakpoints are the refined local extrema (sign changes of df on the
     grid); every monotone piece is then bisected on a sign change, so no
     simple root separated from its neighbours by more than the grid step can
-    be missed.  An extremum whose residual is below touch_tol * scale while
+    be missed.  An extremum whose residual is below _TOUCH_TOL * scale while
     the flanking values share a sign is an even-order zero and is recorded
     with multiplicity 2; an extremum whose central value crosses instead
     hides a close pair of simple roots, which are both recovered.
-    """
-    dv = df(grid)
-    sign_d = np.sign(dv)
-    extrema = []
-    for i in np.nonzero(sign_d[:-1] * sign_d[1:] < 0)[0]:
-        extrema.append(brentq(df, grid[i], grid[i + 1], rtol=_ROOT_RTOL, xtol=1e-15))
-    breaks = np.unique(np.concatenate([[grid[0]], extrema, [grid[-1]]]))
-    fb = f(breaks)
-    is_ext = np.isin(breaks, extrema)
 
-    roots = []
+    Returns (roots, multiplicities, segments), ordered by segment, then root.
+    """
+    # segments of one length form a 2-d grid whose rows broadcast against
+    # their parameters; x holds all grids end to end, in order of length
+    order = np.argsort(num, kind="stable")
+    start, stop, num, P = start[order], stop[order], num[order], P[:, order]
+    offset = np.concatenate([[0], np.cumsum(num)])
+    x, fx = np.empty(offset[-1]), np.empty(offset[-1])
+    cells, dl, dr = [], [], []
+    runs = [*np.flatnonzero(np.diff(num, prepend=0)), len(num)]
+    for r0, r1 in zip(runs[:-1], runs[1:]):
+        n = num[r0]
+        # numpy's linspace arithmetic, so each row equals its own linspace
+        grid = np.arange(n) * ((stop[r0:r1] - start[r0:r1]) / (n - 1))[:, None]
+        grid += start[r0:r1, None]
+        grid[:, -1] = stop[r0:r1]
+        x[offset[r0] : offset[r1]] = grid.ravel()
+        fx[offset[r0] : offset[r1]] = f(grid, *P[:, r0:r1, None]).ravel()
+        d = df(grid, *P[:, r0:r1, None])
+        s = np.sign(d)
+        row, col = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+        cells.append(offset[r0] + row * n + col)
+        dl.append(d[row, col])
+        dr.append(d[row, col + 1])
+    i = np.concatenate(cells)
+    iseg = np.searchsorted(offset, i, side="right") - 1
+    extrema = _refine(df, d2f, x[i], x[i + 1], np.concatenate(dl), np.concatenate(dr), P[:, iseg])
+
+    # breakpoints: each segment's ends and extrema, sorted, without repeats;
+    # a value that is both an end and an extremum counts as an extremum.
+    # lo and hi are the first and last grid index inside [break, next break]
+    first, last = offset[:-1], offset[1:] - 1
+    bx = np.concatenate([x[first], x[last], extrema])
+    bseg = np.concatenate([np.arange(len(num)), np.arange(len(num)), iseg])
+    lo = np.concatenate([first, last, i + 1])
+    hi = np.concatenate([first, last, i])
+    bext = np.arange(len(bx)) >= 2 * len(num)
+    keep = np.lexsort((~bext, bx, bseg))
+    new = np.ones(len(keep), dtype=bool)
+    new[1:] = (np.diff(bx[keep]) != 0.0) | (np.diff(bseg[keep]) != 0)
+    keep = keep[new]
+    bx, bseg, bext, lo, hi = bx[keep], bseg[keep], bext[keep], lo[keep], hi[keep]
+    Pb = P[:, bseg]
+    fb = f(bx, *Pb)
+    same = bseg[1:] == bseg[:-1]  # breakpoints j and j + 1 bound a piece
+
     # even-order zeros: an extremum that touches zero while its flanking
     # breakpoint values share a sign; the adjacent monotone pieces are then
     # consumed so that residual noise at the touch cannot double-count
-    consumed = np.zeros(len(breaks), dtype=bool)
-    for j in range(1, len(breaks) - 1):
-        if not is_ext[j]:
-            continue
-        fe = fb[j]
-        fa, fc = fb[j - 1], fb[j + 1]
-        if fa * fc <= 0.0:
-            continue  # an ordinary crossing lives in one of the pieces
-        scale = touch_tol * _residual_scale(breaks[j], lam)
-        if abs(fe) <= scale:
-            roots.append((breaks[j], 2))
-            if on_double is not None:
-                on_double(breaks[j])
-            consumed[j] = True
+    j = np.flatnonzero(same[:-1] & same[1:] & bext[1:-1]) + 1
+    scale = _TOUCH_TOL * np.maximum(1.0, (bx[j] * Pb[0, j]) ** 2)
+    touch = j[(fb[j - 1] * fb[j + 1] > 0.0) & (np.abs(fb[j]) <= scale)]
+    free = np.ones(len(bx), dtype=bool)
+    free[touch] = False
+
     # simple crossings on the monotone pieces (close pairs around a
-    # non-touching extremum land in two adjacent pieces and are both found)
-    for j in range(len(breaks) - 1):
-        if consumed[j] or consumed[j + 1]:
+    # non-touching extremum land in two adjacent pieces and are both found);
+    # a piece starting exactly on a root reports it, unless it opens a segment
+    j = np.flatnonzero(same & free[:-1] & free[1:])
+    hit = j[(fb[j] == 0.0) & (j > 0) & same[j - 1]]
+    cross = j[fb[j] * fb[j + 1] < 0.0]
+
+    # a piece can span many grid cells, where Newton converges slowly; its
+    # root is refined in the first cell of [break, grid points, next break]
+    # on which f changes sign, so each piece still yields exactly one root
+    lo, hi, fl, fh = lo[cross], hi[cross + 1], fb[cross], fb[cross + 1]
+    a, b = bx[cross], bx[cross + 1]
+    inner = hi >= lo  # grid points inside the piece
+    at_lo = inner & (fl * fx[np.minimum(lo, len(x) - 1)] <= 0.0)
+    flips = np.append(np.flatnonzero(fx[:-1] * fx[1:] <= 0.0), len(x))
+    k = flips[np.searchsorted(flips, lo)]
+    at_k = inner & ~at_lo & (k < hi)
+    at_hi = inner & ~at_lo & ~at_k
+    b[at_lo], fh[at_lo] = x[lo[at_lo]], fx[lo[at_lo]]
+    a[at_k], fl[at_k] = x[k[at_k]], fx[k[at_k]]
+    b[at_k], fh[at_k] = x[k[at_k] + 1], fx[k[at_k] + 1]
+    a[at_hi], fl[at_hi] = x[hi[at_hi]], fx[hi[at_hi]]
+    roots = _refine(f, df, a, b, fl, fh, Pb[:, cross])
+
+    rx = np.concatenate([bx[touch], bx[hit], roots])
+    rm = np.repeat([2, 1], [len(touch), len(hit) + len(cross)])
+    rseg = order[np.concatenate([bseg[touch], bseg[hit], bseg[cross]])]
+    out = np.lexsort((rm, rx, rseg))
+    return rx[out], rm[out], rseg[out]
+
+
+def _positive_roots(P, k_max, l):
+    """(k, multiplicity) of every positive level in (0, k_max[i]] of each point."""
+    u_max = k_max * l
+    n = np.maximum(2, np.ceil((u_max - _U_FLOOR) / _SCAN_STEP).astype(int) + 1)
+    floor = np.full(len(n), _U_FLOOR)
+    u, m, seg = _scan_segments(_pos_resid, _pos_resid_deriv, _pos_resid_deriv2, floor, u_max, n, P)
+    keep = u > _U_FLOOR * (1.0 + 1e-6)
+    roots = list(zip((u[keep] / l).tolist(), m[keep].tolist()))
+    cuts = np.searchsorted(seg[keep], np.arange(1, len(n))).tolist()
+    return [roots[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(roots)])]
+
+
+def _negative_ceilings(P):
+    """negative_search_ceiling of each point, doubling all open windows at once."""
+    v = np.maximum(np.maximum(10.0, 4.0 / P[0]), 4.0 * P[0])
+    out = np.empty(len(v))
+    todo = np.arange(len(v))
+    for _ in range(60):
+        vals = _neg_resid_scaled(np.linspace(v, 2.0 * v, 129, axis=1), *P[:, todo, None])
+        closed = np.all(vals > 0.0, axis=1) | np.all(vals < 0.0, axis=1)
+        out[todo[closed]] = 2.0 * v[closed]
+        todo, v = todo[~closed], 2.0 * v[~closed]
+        if not len(todo):
+            return out
+    raise ContradictionError("negative-level window failed to close")
+
+
+def _negative_roots(P, l):
+    """(kappa, multiplicity) of every negative level of each point, at most two."""
+    starts, stops, nums, owner = [], [], [], []
+    for i, v_max in enumerate(_negative_ceilings(P).tolist()):
+        start = min(12.0, v_max)
+        starts.append(_U_FLOOR), stops.append(start), nums.append(768), owner.append(i)
+        while start < v_max * (1.0 - 1e-12):
+            stop = min(2.0 * start, v_max)
+            starts.append(start), stops.append(stop), nums.append(257), owner.append(i)
+            start = stop
+    owner = np.array(owner, dtype=int)
+    v, m, seg = _scan_segments(
+        _neg_resid_scaled, _neg_resid_scaled_deriv, _neg_resid_scaled_deriv2,
+        np.array(starts), np.array(stops), np.array(nums), P[:, owner],
+    )
+    roots = [[] for _ in range(P.shape[1])]
+    for root, mult, i in zip(v.tolist(), m.tolist(), owner[seg].tolist()):
+        if mult == 2:
+            warnings.warn(
+                f"tangential negative-level root at kappa*l = {root!r}; "
+                "even-order bound-state zeros deserve manual review",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        if root <= _U_FLOOR * (1.0 + 1e-6):
             continue
-        fa, fc = fb[j], fb[j + 1]
-        if fa == 0.0:
-            if j > 0:
-                roots.append((breaks[j], 1))
-            continue
-        if fa * fc < 0.0:
-            roots.append((brentq(f, breaks[j], breaks[j + 1], rtol=_ROOT_RTOL, xtol=1e-15), 1))
-    roots.sort()
-    return roots
+        if roots[i] and abs(root - roots[i][-1][0]) <= 1e-12 * max(1.0, root):
+            continue  # same root straddling a segment boundary
+        roots[i].append((root, mult))
+    for r in roots:
+        total = sum(m for _, m in r)
+        if total > 2:
+            raise ContradictionError(
+                f"{total} negative-level roots found; the structural bound is two"
+            )
+    return [[(v / l, m) for v, m in r] for r in roots]
+
+
+# ---------------------------------------------------------------------------
+# public root finders and spectra
+# ---------------------------------------------------------------------------
 
 
 def find_positive_roots(p: U2Params, g: BoxGeometry, k_max: float):
@@ -264,15 +462,7 @@ def find_positive_roots(p: U2Params, g: BoxGeometry, k_max: float):
     """
     if not k_max > 0.0:
         raise ConstraintError("k_max must be positive")
-    lam = p.L0 / g.l
-    s, c1, c2, b_i = _fingerprint_coeffs(p)
-    u_max = k_max * g.l
-    n = max(2, int(math.ceil((u_max - _U_FLOOR) / _SCAN_STEP)) + 1)
-    grid = np.linspace(_U_FLOOR, u_max, n)
-    f = lambda u: _pos_resid(u, lam, s, c1, c2, b_i)
-    df = lambda u: _pos_resid_deriv(u, lam, s, c1, c2, b_i)
-    roots = _scan_segment(f, df, grid, lam, _TOUCH_TOL)
-    return [(float(u) / g.l, m) for u, m in roots if u > _U_FLOOR * (1.0 + 1e-6)]
+    return _positive_roots(_coeffs((p,), g), np.array([float(k_max)]), g.l)[0]
 
 
 def negative_search_ceiling(p: U2Params, g: BoxGeometry):
@@ -282,16 +472,7 @@ def negative_search_ceiling(p: U2Params, g: BoxGeometry):
     residual holds one sign across a full doubling, past which the hyperbolic
     envelope is monotone.
     """
-    lam = p.L0 / g.l
-    s, c1, c2, b_i = _fingerprint_coeffs(p)
-    v = max(10.0, 4.0 / lam, 4.0 * lam)
-    for _ in range(60):
-        seg = np.linspace(v, 2.0 * v, 129)
-        vals = _neg_resid_scaled(seg, lam, s, c1, c2, b_i)
-        if np.all(vals > 0.0) or np.all(vals < 0.0):
-            return 2.0 * v
-        v *= 2.0
-    raise ContradictionError("negative-level window failed to close")
+    return float(_negative_ceilings(_coeffs((p,), g))[0])
 
 
 def find_negative_roots(p: U2Params, g: BoxGeometry):
@@ -302,46 +483,61 @@ def find_negative_roots(p: U2Params, g: BoxGeometry):
     tangential (even-order) negative root is reported with multiplicity 2 and
     flagged with a RuntimeWarning for manual review.
     """
-    lam = p.L0 / g.l
-    s, c1, c2, b_i = _fingerprint_coeffs(p)
-    v_max = negative_search_ceiling(p, g)
-    f = lambda v: _neg_resid_scaled(v, lam, s, c1, c2, b_i)
-    df = lambda v: _neg_resid_scaled_deriv(v, lam, s, c1, c2, b_i)
-
-    def warn_double(v):
-        warnings.warn(
-            f"tangential negative-level root at kappa*l = {v!r}; "
-            "even-order bound-state zeros deserve manual review",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    v_dense_end = min(12.0, v_max)
-    grids = [np.linspace(_U_FLOOR, v_dense_end, 768)]
-    start = v_dense_end
-    while start < v_max * (1.0 - 1e-12):
-        stop = min(2.0 * start, v_max)
-        grids.append(np.linspace(start, stop, 257))
-        start = stop
-    roots = []
-    for grid in grids:
-        for v, m in _scan_segment(f, df, grid, lam, _TOUCH_TOL, on_double=warn_double):
-            if v <= _U_FLOOR * (1.0 + 1e-6):
-                continue
-            if roots and abs(v - roots[-1][0]) <= 1e-12 * max(1.0, v):
-                continue  # same root straddling a segment boundary
-            roots.append((v, m))
-    total = sum(m for _, m in roots)
-    if total > 2:
-        raise ContradictionError(
-            f"{total} negative-level roots found; the structural bound is two"
-        )
-    return [(float(v) / g.l, m) for v, m in roots]
+    return _negative_roots(_coeffs((p,), g), g.l)[0]
 
 
 def spectral_fingerprint(p: U2Params):
     """(xi, Re alpha, Im beta): all that the spectrum depends on besides L0."""
     return (p.xi, p.alpha.real, p.beta.imag)
+
+
+def spectra(points, g: BoxGeometry, n_levels: int) -> list:
+    """`spectrum(p, g, n_levels)` of every point, solved as one batch.
+
+    The root search of all points runs in shared array passes, and the
+    positive-sector enlargement of k_max re-runs only for the points still
+    short of levels; each point's result is the same as when it is alone.
+    """
+    if n_levels < 1:
+        raise ConstraintError("n_levels must be at least 1")
+    points = list(points)
+    P = _coeffs(points, g)
+    esc = g.hbar**2 / (2.0 * g.mass)
+    has_zero = [zero_mode_exists(p, g) for p in points]
+    levels, n_pos, k_max = [], [], []
+    for zero, neg in zip(has_zero, _negative_roots(P, g.l)):
+        lv = [Level(SECTOR_NEGATIVE, kappa, -esc * kappa**2, mult)
+              for kappa, mult in sorted(neg, reverse=True)]
+        if zero:
+            lv.append(Level(SECTOR_ZERO, None, 0.0, 1))
+        levels.append(lv)
+        n_pos.append(max(0, n_levels - len(lv)))
+        k_max.append((n_pos[-1] + 2) * math.pi / g.l * 1.25)
+
+    pos = [None] * len(points)
+    todo = list(range(len(points)))
+    for _ in range(40):
+        found = _positive_roots(P[:, todo], np.array([k_max[i] for i in todo]), g.l)
+        short = []
+        for i, roots in zip(todo, found):
+            if has_zero[i]:
+                roots = [(k, m) for k, m in roots if k * g.l >= _ZERO_SHADOW_U]
+            pos[i] = roots
+            if len(roots) < n_pos[i]:
+                k_max[i] *= 1.6
+                short.append(i)
+        todo = short
+        if not todo:
+            break
+    else:
+        raise ContradictionError("positive-level search failed to fill the request")
+
+    out = []
+    for lv, roots, k_top in zip(levels, pos, k_max):
+        lv += [Level(SECTOR_POSITIVE, k, esc * k**2, mult) for k, mult in roots]
+        lv.sort(key=lambda level: level.energy)
+        out.append(Spectrum(levels=tuple(lv[:n_levels]), k_max=k_top))
+    return out
 
 
 def spectrum(p: U2Params, g: BoxGeometry, n_levels: int) -> Spectrum:
@@ -351,29 +547,4 @@ def spectrum(p: U2Params, g: BoxGeometry, n_levels: int) -> Spectrum:
     are found.  When a zero mode is present, positive roots with k*l below
     1e-3 are treated as its numerical shadow and dropped.
     """
-    if n_levels < 1:
-        raise ConstraintError("n_levels must be at least 1")
-    esc = g.hbar**2 / (2.0 * g.mass)
-    levels = []
-    for kappa, mult in sorted(find_negative_roots(p, g), reverse=True):
-        levels.append(Level(SECTOR_NEGATIVE, kappa, -esc * kappa**2, mult))
-    has_zero = zero_mode_exists(p, g)
-    if has_zero:
-        levels.append(Level(SECTOR_ZERO, None, 0.0, 1))
-
-    n_pos = max(0, n_levels - len(levels))
-    k_max = (n_pos + 2) * math.pi / g.l * 1.25
-    pos = []
-    for _ in range(40):
-        pos = find_positive_roots(p, g, k_max)
-        if has_zero:
-            pos = [(k, m) for k, m in pos if k * g.l >= _ZERO_SHADOW_U]
-        if len(pos) >= n_pos:
-            break
-        k_max *= 1.6
-    else:
-        raise ContradictionError("positive-level search failed to fill the request")
-    for k, mult in pos:
-        levels.append(Level(SECTOR_POSITIVE, k, esc * k**2, mult))
-    levels.sort(key=lambda lv: lv.energy)
-    return Spectrum(levels=tuple(levels[:n_levels]), k_max=k_max)
+    return spectra((p,), g, n_levels)[0]

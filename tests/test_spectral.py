@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from pointspec import (
     make_u2,
     negative_condition,
     positive_condition,
+    spectra,
     spectral_fingerprint,
     spectrum,
     zero_mode_condition,
@@ -168,6 +170,46 @@ class TestSpectrum:
     def test_levels_validation(self):
         with pytest.raises(ConstraintError):
             spectrum(DIRICHLET, G1, 0)
+
+
+class TestSpectra:
+    # two bound states; the Neumann-Neumann zero mode; the Im beta = -1 pole,
+    # whose double levels need a larger k_max than the first guess; the
+    # Im beta = +1 pole; Dirichlet
+    POINTS = (
+        make_u2(math.pi / 2, 1.0, 0.0, 0.2),
+        NEUMANN,
+        make_u2(math.pi / 2, 0.0, -1j),
+        make_u2(math.pi / 2, 0.0, 1j),
+        DIRICHLET,
+    )
+
+    def test_batch_equals_one_at_a_time(self):
+        n = 12
+        alone = [spectrum(p, G1, n) for p in self.POINTS]
+        assert [lv.sector for lv in alone[0].levels[:2]] == ["negative"] * 2
+        assert alone[1].levels[0].sector == "zero"
+        n_pos = n - 1  # the pole's zero mode takes one level
+        assert alone[2].k_max > (n_pos + 2) * math.pi / G1.l * 1.25
+        for order in (list(range(5)), [3, 0, 4, 2, 1]):
+            batch = spectra([self.POINTS[i] for i in order], G1, n)
+            assert [(s.levels, s.k_max) for s in batch] == [
+                (alone[i].levels, alone[i].k_max) for i in order
+            ]
+
+    def test_batch_warns_on_tangential_negative_root(self):
+        # the doubly degenerate negative level of the eigenstate CLI test
+        kappa, e = 2.0, math.exp(2.0)
+        X = np.array([[1.0, 1.0], [e, 1.0 / e]])
+        Y = np.array([[1.0, -1.0], [-e, 1.0 / e]])
+        U = (X - 1j * kappa * Y) @ np.linalg.inv(X + 1j * kappa * Y)
+        xi = cmath.phase(np.linalg.det(U)) / 2.0 % math.pi
+        alpha, beta = U[0] * cmath.exp(-1j * xi)
+        tangential = make_u2(xi, complex(alpha), complex(beta))
+        with pytest.warns(RuntimeWarning, match="tangential"):
+            batch = spectra([DIRICHLET, tangential, NEUMANN], BoxGeometry(l=1.0), 2)
+        assert batch[1].levels[0].multiplicity == 2
+        assert batch[1].levels[0].parameter == pytest.approx(kappa, rel=1e-12)
 
 
 class TestFingerprint:
@@ -409,6 +451,27 @@ def _reference_cases():
     return cases
 
 
+def _ref_spread(sector, x, p, g):
+    """How far rounding in the residual can move a root at x = k l or kappa l.
+
+    eps times the residual's terms in absolute value, over its slope: where
+    the terms cancel (a hyperbolic pinch) or the slope vanishes (a multiple
+    root), any point of that width is a root to working precision.
+    """
+    lam, (s, c1, c2, b_i) = p.L0 / g.l, _ref_coeffs(p)
+    xl = x * lam
+    if sector == "positive":
+        terms = (abs(2 * xl * b_i) + abs(2 * xl * s * math.cos(x))
+                 + (abs(c1) + abs(c2) * xl**2) * abs(math.sin(x)))
+        slope = _ref_pos_d(x, lam, s, c1, c2, b_i)
+    else:
+        em = math.exp(-x)
+        terms = (abs(4 * xl * b_i * em) + abs(2 * xl * s) * (1 + em * em)
+                 + (abs(c1) + abs(c2) * xl**2) * (1 - em * em))
+        slope = _ref_neg_d(x, lam, s, c1, c2, b_i)
+    return np.finfo(float).eps * terms / abs(slope)
+
+
 class TestRootReference:
     """`spectrum` against the scalar finder with one brentq per bracket."""
 
@@ -421,11 +484,14 @@ class TestRootReference:
             ref = _ref_spectrum(p, g, n)
             got = [(lv.sector, lv.parameter, lv.multiplicity) for lv in spectrum(p, g, n).levels]
             assert [(s, m) for s, _, m in got] == [(s, m) for s, _, m in ref]
-            for (_, x, _), (_, y, _) in zip(got, ref):
+            for (sector, x, _), (_, y, _) in zip(got, ref):
                 if y is None:
                     assert x is None
                     continue
-                assert abs(x - y) <= 1e-12 * abs(y)
+                # both finders stop within 1e-15 in k l, and neither can
+                # place an ill-conditioned root closer than its spread
+                spread = 2e-15 + 8 * _ref_spread(sector, y * g.l, p, g)
+                assert abs(x - y) <= 1e-12 * abs(y) + spread / g.l
                 n_roots += 1
                 n_tight += abs(x - y) <= 4 * eps * abs(y)
         assert n_roots > 1500
