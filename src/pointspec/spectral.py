@@ -17,7 +17,9 @@ state psi = A x + B exists iff
 All root finding happens in the dimensionless variable u = k l (v = kappa l)
 with the single scale ratio lam = L0 / l; only (xi, Re alpha, Im beta, lam)
 enter, which is the spectral-space reduction this module also exposes via
-`spectral_fingerprint`.
+`spectral_fingerprint`.  The level conditions of many points are therefore
+one array expression, and `spectra` solves a batch of points in shared array
+passes; `spectrum` is a batch of one.
 """
 
 from __future__ import annotations
@@ -285,6 +287,28 @@ def _refine(f, df, a, b, fa, fb, P):
     raise ContradictionError("root refinement failed to converge")
 
 
+def _grid_pass(df, grid, start, stop, P):
+    """Fill grid's rows with linspace(start[i], stop[i]); find df's sign changes.
+
+    Returns the (row, col) of every cell [col, col + 1] over which df changes
+    sign strictly, and df at both ends of it.  When all rows are equal (every
+    dense negative window is) df is evaluated on one row, which broadcasts
+    against the parameters.
+    """
+    n = grid.shape[1]
+    if (start == start[0]).all() and (stop == stop[0]).all():
+        start, stop = start[:1], stop[:1]
+    # numpy's linspace arithmetic, so each row equals its own linspace
+    row = np.arange(n) * ((stop - start) / (n - 1))[:, None]
+    row += start[:, None]
+    row[:, -1] = stop
+    grid[:] = row
+    d = df(row, *P[:, :, None])
+    up, down = d > 0.0, d < 0.0
+    row, col = np.nonzero((up[:, :-1] & down[:, 1:]) | (down[:, :-1] & up[:, 1:]))
+    return row, col, d[row, col], d[row, col + 1]
+
+
 def _scan_segments(f, df, d2f, start, stop, num, P):
     """All roots of f on the grids linspace(start[i], stop[i], num[i]), with multiplicities.
 
@@ -304,23 +328,16 @@ def _scan_segments(f, df, d2f, start, stop, num, P):
     order = np.argsort(num, kind="stable")
     start, stop, num, P = start[order], stop[order], num[order], P[:, order]
     offset = np.concatenate([[0], np.cumsum(num)])
-    x, fx = np.empty(offset[-1]), np.empty(offset[-1])
+    x = np.empty(offset[-1])
     cells, dl, dr = [], [], []
     runs = [*np.flatnonzero(np.diff(num, prepend=0)), len(num)]
     for r0, r1 in zip(runs[:-1], runs[1:]):
         n = num[r0]
-        # numpy's linspace arithmetic, so each row equals its own linspace
-        grid = np.arange(n) * ((stop[r0:r1] - start[r0:r1]) / (n - 1))[:, None]
-        grid += start[r0:r1, None]
-        grid[:, -1] = stop[r0:r1]
-        x[offset[r0] : offset[r1]] = grid.ravel()
-        fx[offset[r0] : offset[r1]] = f(grid, *P[:, r0:r1, None]).ravel()
-        d = df(grid, *P[:, r0:r1, None])
-        s = np.sign(d)
-        row, col = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+        grid = x[offset[r0] : offset[r1]].reshape(r1 - r0, n)
+        row, col, d0, d1 = _grid_pass(df, grid, start[r0:r1], stop[r0:r1], P[:, r0:r1])
         cells.append(offset[r0] + row * n + col)
-        dl.append(d[row, col])
-        dr.append(d[row, col + 1])
+        dl.append(d0)
+        dr.append(d1)
     i = np.concatenate(cells)
     iseg = np.searchsorted(offset, i, side="right") - 1
     extrema = _refine(df, d2f, x[i], x[i + 1], np.concatenate(dl), np.concatenate(dr), P[:, iseg])
@@ -359,22 +376,25 @@ def _scan_segments(f, df, d2f, start, stop, num, P):
     hit = j[(fb[j] == 0.0) & (j > 0) & same[j - 1]]
     cross = j[fb[j] * fb[j + 1] < 0.0]
 
-    # a piece can span many grid cells, where Newton converges slowly; its
-    # root is refined in the first cell of [break, grid points, next break]
+    # a piece can span many grid cells, where Newton converges slowly; a
+    # binary search over the grid points inside it (index lo - 1 standing
+    # for its left break, hi + 1 for its right one) narrows it to one cell
     # on which f changes sign, so each piece still yields exactly one root
-    lo, hi, fl, fh = lo[cross], hi[cross + 1], fb[cross], fb[cross + 1]
-    a, b = bx[cross], bx[cross + 1]
-    inner = hi >= lo  # grid points inside the piece
-    at_lo = inner & (fl * fx[np.minimum(lo, len(x) - 1)] <= 0.0)
-    flips = np.append(np.flatnonzero(fx[:-1] * fx[1:] <= 0.0), len(x))
-    k = flips[np.searchsorted(flips, lo)]
-    at_k = inner & ~at_lo & (k < hi)
-    at_hi = inner & ~at_lo & ~at_k
-    b[at_lo], fh[at_lo] = x[lo[at_lo]], fx[lo[at_lo]]
-    a[at_k], fl[at_k] = x[k[at_k]], fx[k[at_k]]
-    b[at_k], fh[at_k] = x[k[at_k] + 1], fx[k[at_k] + 1]
-    a[at_hi], fl[at_hi] = x[hi[at_hi]], fx[hi[at_hi]]
-    roots = _refine(f, df, a, b, fl, fh, Pb[:, cross])
+    L, H = lo[cross] - 1, hi[cross + 1] + 1
+    fl, fh = fb[cross], fb[cross + 1]
+    Pc = Pb[:, cross]
+    while True:
+        k = np.flatnonzero(H - L > 1)
+        if not len(k):
+            break
+        M = (L[k] + H[k]) // 2
+        fm = f(x[M], *Pc[:, k])
+        left = fm * fl[k] <= 0.0
+        H[k[left]], fh[k[left]] = M[left], fm[left]
+        L[k[~left]], fl[k[~left]] = M[~left], fm[~left]
+    a = np.where(L < lo[cross], bx[cross], x[np.maximum(L, 0)])
+    b = np.where(H > hi[cross + 1], bx[cross + 1], x[np.minimum(H, len(x) - 1)])
+    roots = _refine(f, df, a, b, fl, fh, Pc)
 
     rx = np.concatenate([bx[touch], bx[hit], roots])
     rm = np.repeat([2, 1], [len(touch), len(hit) + len(cross)])
@@ -501,6 +521,8 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")
     points = list(points)
+    if not points:
+        return []
     P = _coeffs(points, g)
     esc = g.hbar**2 / (2.0 * g.mass)
     has_zero = [zero_mode_exists(p, g) for p in points]
