@@ -248,19 +248,20 @@ def _refine(f, df, a, b, fa, fb, P):
     """
     m = len(a)
     out = np.empty(m)
-    # rows: a, fa, b, fb, x, the bracket width one and two steps back, the
-    # output slot, then the residual parameters; finished columns are dropped
-    state = np.empty((8 + len(P), m))
+    if not m:
+        return out
+    # rows: a, fa, b, fb, x, f(x), the bracket width one and two steps back,
+    # the output slot, then the residual parameters; finished columns are
+    # dropped before the Newton step
+    state = np.empty((9 + len(P), m))
     state[0], state[1], state[2], state[3] = a, fa, b, fb
     state[4] = a - fa * (b - a) / (fb - fa)
-    state[5], state[6], state[7], state[8:] = b - a, np.inf, np.arange(m), P
+    state[6], state[7], state[8], state[9:] = b - a, np.inf, np.arange(m), P
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
             m = state.shape[1]
-            if not m:
-                return out
-            a, fa, b, fb, x, w1, w2 = state[:7]
-            P = state[8:]
+            a, fa, b, fb, x = state[:5]
+            P = state[9:]
             tol = 1e-15 + _ROOT_RTOL * np.abs(x)
             # points (row 0) and values (row 1) of a, x - tol, x, x + tol, b
             pv = np.empty((2, 5, m))
@@ -273,17 +274,21 @@ def _refine(f, df, a, b, fa, fb, P):
             width = np.where(vals[:-1] * vals[1:] <= 0.0, pts[1:] - pts[:-1], np.inf)
             j = width.argmin(axis=0)
             cols = np.arange(m)
-            state[0:2], state[2:4] = pv[:, j, cols], pv[:, j + 1, cols]
-            w = b - a  # a and b are views of the new bracket now
-            xn = x - vals[2] / df(x, *P)
+            state[0:2], state[2:4], state[5] = pv[:, j, cols], pv[:, j + 1, cols], vals[2]
+            done = b - a <= 2.0 * tol  # a and b are views of the new bracket now
+            if done.any():
+                out[state[8, done].astype(int)] = np.where(np.abs(fa) <= np.abs(fb), a, b)[done]
+                state = state[:, ~done]
+                if not state.shape[1]:
+                    return out
+            a, fa, b, fb, x, fx, w1, w2 = state[:8]
+            P = state[9:]
+            w = b - a
+            xn = x - fx / df(x, *P)
             xn = np.where((xn > a) & (xn < b), xn, a - fa * w / (fb - fa))
             state[4] = np.where(w > 0.5 * w2, 0.5 * (a + b), xn)
-            state[6] = w1
-            state[5] = w
-            done = w <= 2.0 * tol
-            if done.any():
-                out[state[7, done].astype(int)] = np.where(np.abs(fa) <= np.abs(fb), a, b)[done]
-                state = state[:, ~done]
+            state[7] = w1
+            state[6] = w
     raise ContradictionError("root refinement failed to converge")
 
 
