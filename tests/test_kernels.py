@@ -118,7 +118,7 @@ class TestSpectralKernel:
 
 
 def _images_needed_by_search(g, tau, tol=1e-12, weight_bound=2.0):
-    """The image count by a linear search from n = 2, as images_needed was."""
+    """The image count by a linear search from n = 2: the reference."""
     alpha = g.mass * g.l**2 / (2.0 * g.hbar * tau)
     for n in range(2, 100000):
         j = n - 1
