@@ -243,7 +243,9 @@ def images_needed(g: BoxGeometry, tau, tol: float = 1e-12, weight_bound: float =
     alpha = g.mass * g.l**2 / (2.0 * g.hbar * t)
     j0 = 0
     if 4.0 * weight_bound > tol > 0.0:
-        j0 = math.floor(math.sqrt(math.log(4.0 * weight_bound / tol) / alpha))
+        # capped where the search range ends (alpha can be 0 for tau = inf)
+        j0 = math.sqrt(math.log(4.0 * weight_bound / tol) / max(alpha, 1e-300))
+        j0 = math.floor(min(j0, 1e5))
     for n in range(max(2, j0 + 1), 100000):
         j = n - 1
         tail = 4.0 * weight_bound * math.exp(-alpha * j * j)

@@ -142,8 +142,8 @@ class TestImagesNeeded:
             else:
                 assert images_needed(G1, tau, tol) == n
 
-    def test_unreachable_target(self):
-        tau = 0.25 / 1e-9
+    @pytest.mark.parametrize("tau", [0.25 / 1e-9, 1e300, math.inf])
+    def test_unreachable_target(self, tau):
         assert _images_needed_by_search(G1, tau) is None
         with pytest.raises(TailBoundError):
             images_needed(G1, tau)

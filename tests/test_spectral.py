@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pointspec import (
     BoxGeometry,
@@ -346,8 +347,6 @@ def _ref_neg_d(v, lam, s, c1, c2, b_i):
 
 
 def _ref_scan(f, df, grid, lam):
-    from scipy.optimize import brentq
-
     sign_d = np.sign(df(grid))
     extrema = [brentq(df, grid[i], grid[i + 1], rtol=_REF_RTOL, xtol=1e-15)
                for i in np.nonzero(sign_d[:-1] * sign_d[1:] < 0)[0]]
