@@ -233,20 +233,10 @@ def image_heat_kernel(
 
 
 def images_needed(g: BoxGeometry, tau, tol: float = 1e-12, weight_bound: float = 2.0) -> int:
-    """Smallest image count whose Gaussian tail bound is below `tol`.
-
-    The bound at j = n - 1 is 4 w exp(-alpha j^2) over a denominator at most
-    1, so it stays above tol for every j below sqrt(ln(4 w / tol) / alpha);
-    the search starts there.
-    """
+    """Smallest image count whose Gaussian tail bound is below `tol`."""
     t = tau_value(tau)
     alpha = g.mass * g.l**2 / (2.0 * g.hbar * t)
-    j0 = 0
-    if 4.0 * weight_bound > tol > 0.0:
-        # capped where the search range ends (alpha can be 0 for tau = inf)
-        j0 = math.sqrt(math.log(4.0 * weight_bound / tol) / max(alpha, 1e-300))
-        j0 = math.floor(min(j0, 1e5))
-    for n in range(max(2, j0 + 1), 100000):
+    for n in range(2, 100000):
         j = n - 1
         tail = 4.0 * weight_bound * math.exp(-alpha * j * j)
         tail /= max(1e-300, -math.expm1(-alpha * (2 * j + 1)))

@@ -117,38 +117,6 @@ class TestSpectralKernel:
             spectral_heat_kernel(eigenbasis(DIRICHLET, G1, 8), G1, -0.1, 0.5, 1.0)
 
 
-def _images_needed_by_search(g, tau, tol=1e-12, weight_bound=2.0):
-    """The image count by a linear search from n = 2: the reference."""
-    alpha = g.mass * g.l**2 / (2.0 * g.hbar * tau)
-    for n in range(2, 100000):
-        j = n - 1
-        tail = 4.0 * weight_bound * math.exp(-alpha * j * j)
-        tail /= max(1e-300, -math.expm1(-alpha * (2 * j + 1)))
-        if tail <= tol:
-            return n
-    return None
-
-
-class TestImagesNeeded:
-    @pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-3])
-    def test_matches_linear_search(self, tol):
-        # alpha = m l^2 / (2 hbar tau) = 0.25 / tau on G1, from 1e-9 to 1e3
-        for alpha in np.geomspace(1e-9, 1e3, 97):
-            tau = 0.25 / alpha
-            n = _images_needed_by_search(G1, tau, tol)
-            if n is None:
-                with pytest.raises(TailBoundError):
-                    images_needed(G1, tau, tol)
-            else:
-                assert images_needed(G1, tau, tol) == n
-
-    @pytest.mark.parametrize("tau", [0.25 / 1e-9, 1e300, math.inf])
-    def test_unreachable_target(self, tau):
-        assert _images_needed_by_search(G1, tau) is None
-        with pytest.raises(TailBoundError):
-            images_needed(G1, tau)
-
-
 class TestImageKernel:
     def test_short_time_free_limit(self):
         tau = _tau(0.002)
