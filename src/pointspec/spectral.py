@@ -248,70 +248,54 @@ def _refine(f, df, a, b, fa, fb, P):
     """
     m = len(a)
     out = np.empty(m)
-    if not m:
-        return out
-    # rows: a, fa, b, fb, x, f(x), the bracket width one and two steps back,
-    # the output slot, then the residual parameters; finished columns are
-    # dropped before the Newton step
-    state = np.empty((9 + len(P), m))
-    state[0], state[1], state[2], state[3] = a, fa, b, fb
-    state[4] = a - fa * (b - a) / (fb - fa)
-    state[6], state[7], state[8], state[9:] = b - a, np.inf, np.arange(m), P
+    # rows 0-4: a, x - tol, x, x + tol, b; rows 5-9: f at those points; the
+    # bracket width one and two steps back, the output slot, then the
+    # residual parameters; finished columns are dropped after each probe
+    s = np.empty((13 + len(P), m))
+    s[0], s[4], s[5], s[9] = a, b, fa, fb
+    s[2] = a - fa * (b - a) / (fb - fa)
+    s[10], s[11], s[12], s[13:] = b - a, np.inf, np.arange(m), P
+    cols, P = np.arange(m), tuple(s[13:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
-            m = state.shape[1]
-            a, fa, b, fb, x = state[:5]
-            P = state[9:]
-            tol = 1e-15 + _ROOT_RTOL * np.abs(x)
-            # points (row 0) and values (row 1) of a, x - tol, x, x + tol, b
-            pv = np.empty((2, 5, m))
-            pts, vals = pv
-            pts[0], pts[2], pts[4] = a, x, b
-            np.maximum(x - tol, a, out=pts[1])
-            np.minimum(x + tol, b, out=pts[3])
-            vals[0], vals[4] = fa, fb
-            vals[1:4] = f(pts[1:4], *P)
-            width = np.where(vals[:-1] * vals[1:] <= 0.0, pts[1:] - pts[:-1], np.inf)
-            j = width.argmin(axis=0)
-            cols = np.arange(m)
-            state[0:2], state[2:4], state[5] = pv[:, j, cols], pv[:, j + 1, cols], vals[2]
-            done = b - a <= 2.0 * tol  # a and b are views of the new bracket now
-            if done.any():
-                out[state[8, done].astype(int)] = np.where(np.abs(fa) <= np.abs(fb), a, b)[done]
-                state = state[:, ~done]
-                if not state.shape[1]:
-                    return out
-            a, fa, b, fb, x, fx, w1, w2 = state[:8]
-            P = state[9:]
+            x = s[2]
+            tol = _ROOT_RTOL * np.abs(x) + 1e-15
+            np.maximum(x - tol, s[0], out=s[1])
+            np.minimum(x + tol, s[4], out=s[3])
+            s[6:9] = f(s[1:4], *P)
+            width = np.where(s[5:9] * s[6:10] <= 0.0, s[1:5] - s[:4], np.inf)
+            s[_ENDS] = s[width.argmin(axis=0) + _PICK, cols]
+            a, b, fa, fb = s[0], s[4], s[5], s[9]
             w = b - a
-            xn = x - fx / df(x, *P)
+            done = w <= 2.0 * tol
+            if done.any():
+                out[s[12, done].astype(int)] = np.where(np.abs(fa) <= np.abs(fb), a, b)[done]
+                if done.all():
+                    return out
+                s, w = s[:, ~done], w[~done]
+                cols, P = cols[: len(w)], tuple(s[13:])
+                a, b, fa, fb = s[0], s[4], s[5], s[9]
+            x = s[2]
+            xn = x - s[7] / df(x, *P)
             xn = np.where((xn > a) & (xn < b), xn, a - fa * w / (fb - fa))
-            state[4] = np.where(w > 0.5 * w2, 0.5 * (a + b), xn)
-            state[7] = w1
-            state[6] = w
+            s[2] = np.where(w > 0.5 * s[11], 0.5 * (a + b), xn)
+            s[11] = s[10]
+            s[10] = w
     raise ContradictionError("root refinement failed to converge")
 
 
-def _grid_pass(df, grid, start, stop, P):
-    """Fill grid's rows with linspace(start[i], stop[i]); find df's sign changes.
+#: rows of _refine's state that hold a, b, f(a), f(b), and their offsets
+#: from the left end of the chosen sign-change interval
+_ENDS = [0, 4, 5, 9]
+_PICK = np.array([[0], [1], [5], [6]])
 
-    Returns the (row, col) of every cell [col, col + 1] over which df changes
-    sign strictly, and df at both ends of it.  When all rows are equal (every
-    dense negative window is) df is evaluated on one row, which broadcasts
-    against the parameters.
-    """
-    n = grid.shape[1]
-    if (start == start[0]).all() and (stop == stop[0]).all():
-        start, stop = start[:1], stop[:1]
-    # numpy's linspace arithmetic, so each row equals its own linspace
+
+def _rows(start, stop, n):
+    """Row i is np.linspace(start[i], stop[i], n), bit for bit."""
     row = np.arange(n) * ((stop - start) / (n - 1))[:, None]
     row += start[:, None]
     row[:, -1] = stop
-    grid[:] = row
-    d = df(row, *P[:, :, None])
-    up, down = d > 0.0, d < 0.0
-    row, col = np.nonzero((up[:, :-1] & down[:, 1:]) | (down[:, :-1] & up[:, 1:]))
-    return row, col, d[row, col], d[row, col + 1]
+    return row
 
 
 def _scan_segments(f, df, d2f, start, stop, num, P):
@@ -329,28 +313,37 @@ def _scan_segments(f, df, d2f, start, stop, num, P):
     Returns (roots, multiplicities, segments), ordered by segment, then root.
     """
     # segments of one length form a 2-d grid whose rows broadcast against
-    # their parameters; x holds all grids end to end, in order of length
+    # their parameters, and a run of equal grids (every dense negative
+    # window) is built once; x holds all grids end to end, in order of
+    # length, and dx holds df on them
     order = np.argsort(num, kind="stable")
     start, stop, num, P = start[order], stop[order], num[order], P[:, order]
     offset = np.concatenate([[0], np.cumsum(num)])
-    x = np.empty(offset[-1])
-    cells, dl, dr = [], [], []
-    runs = [*np.flatnonzero(np.diff(num, prepend=0)), len(num)]
+    first, last = offset[:-1], offset[1:] - 1
+    x, dx = np.empty((2, offset[-1]))
+    runs = [0, *(np.flatnonzero(num[1:] != num[:-1]) + 1), len(num)]
     for r0, r1 in zip(runs[:-1], runs[1:]):
-        n = num[r0]
-        grid = x[offset[r0] : offset[r1]].reshape(r1 - r0, n)
-        row, col, d0, d1 = _grid_pass(df, grid, start[r0:r1], stop[r0:r1], P[:, r0:r1])
-        cells.append(offset[r0] + row * n + col)
-        dl.append(d0)
-        dr.append(d1)
-    i = np.concatenate(cells)
+        o0, o1, shape = offset[r0], offset[r1], (r1 - r0, num[r0])
+        lo, hi = start[r0:r1], stop[r0:r1]
+        if (lo == lo[0]).all() and (hi == hi[0]).all():
+            lo, hi = lo[:1], hi[:1]
+        row = _rows(lo, hi, num[r0])
+        Pr = P[:, r0:r1, None]
+        x[o0:o1].reshape(shape)[:] = row
+        dx[o0:o1].reshape(shape)[:] = df(row, *Pr)
+
+    # extremum brackets: the cells over which df changes sign strictly
+    up, down = dx > 0.0, dx < 0.0
+    change = (up[:-1] & down[1:]) | (down[:-1] & up[1:])
+    change[last[:-1]] = False  # no cell joins two segments
+    i = np.flatnonzero(change)
     iseg = np.searchsorted(offset, i, side="right") - 1
-    extrema = _refine(df, d2f, x[i], x[i + 1], np.concatenate(dl), np.concatenate(dr), P[:, iseg])
+    Pi = P[:, iseg]
+    extrema = _refine(df, d2f, x[i], x[i + 1], dx[i], dx[i + 1], Pi) if len(i) else x[:0]
 
     # breakpoints: each segment's ends and extrema, sorted, without repeats;
     # a value that is both an end and an extremum counts as an extremum.
     # lo and hi are the first and last grid index inside [break, next break]
-    first, last = offset[:-1], offset[1:] - 1
     bx = np.concatenate([x[first], x[last], extrema])
     bseg = np.concatenate([np.arange(len(num)), np.arange(len(num)), iseg])
     lo = np.concatenate([first, last, i + 1])
@@ -361,15 +354,14 @@ def _scan_segments(f, df, d2f, start, stop, num, P):
     new[1:] = (np.diff(bx[keep]) != 0.0) | (np.diff(bseg[keep]) != 0)
     keep = keep[new]
     bx, bseg, bext, lo, hi = bx[keep], bseg[keep], bext[keep], lo[keep], hi[keep]
-    Pb = P[:, bseg]
-    fb = f(bx, *Pb)
+    fb = f(bx, *P[:, bseg])
     same = bseg[1:] == bseg[:-1]  # breakpoints j and j + 1 bound a piece
 
     # even-order zeros: an extremum that touches zero while its flanking
     # breakpoint values share a sign; the adjacent monotone pieces are then
     # consumed so that residual noise at the touch cannot double-count
     j = np.flatnonzero(same[:-1] & same[1:] & bext[1:-1]) + 1
-    scale = _TOUCH_TOL * np.maximum(1.0, (bx[j] * Pb[0, j]) ** 2)
+    scale = _TOUCH_TOL * np.maximum(1.0, (bx[j] * P[0, bseg[j]]) ** 2)
     touch = j[(fb[j - 1] * fb[j + 1] > 0.0) & (np.abs(fb[j]) <= scale)]
     free = np.ones(len(bx), dtype=bool)
     free[touch] = False
@@ -381,25 +373,28 @@ def _scan_segments(f, df, d2f, start, stop, num, P):
     hit = j[(fb[j] == 0.0) & (j > 0) & same[j - 1]]
     cross = j[fb[j] * fb[j + 1] < 0.0]
 
-    # a piece can span many grid cells, where Newton converges slowly; a
-    # binary search over the grid points inside it (index lo - 1 standing
-    # for its left break, hi + 1 for its right one) narrows it to one cell
-    # on which f changes sign, so each piece still yields exactly one root
-    L, H = lo[cross] - 1, hi[cross + 1] + 1
-    fl, fh = fb[cross], fb[cross + 1]
-    Pc = Pb[:, cross]
-    while True:
-        k = np.flatnonzero(H - L > 1)
-        if not len(k):
-            break
-        M = (L[k] + H[k]) // 2
-        fm = f(x[M], *Pc[:, k])
-        left = fm * fl[k] <= 0.0
-        H[k[left]], fh[k[left]] = M[left], fm[left]
-        L[k[~left]], fl[k[~left]] = M[~left], fm[~left]
-    a = np.where(L < lo[cross], bx[cross], x[np.maximum(L, 0)])
-    b = np.where(H > hi[cross + 1], bx[cross + 1], x[np.minimum(H, len(x) - 1)])
-    roots = _refine(f, df, a, b, fl, fh, Pc)
+    # a piece can span many grid cells, where Newton converges slowly; f on
+    # the grid points inside the crossing pieces (indices lo to hi) narrows
+    # each to the cell before its first point where f has left the sign at
+    # its left break, so that each piece still yields exactly one root
+    roots = x[:0]
+    if len(cross):
+        L, fl, fh, Pc = lo[cross], fb[cross], fb[cross + 1], P[:, bseg[cross]]
+        n_in = np.maximum(hi[cross + 1] - L + 1, 0)
+        at = np.cumsum(n_in) - n_in  # where each piece starts in k
+        piece = np.repeat(np.arange(len(cross)), n_in)
+        k = np.arange(len(piece)) - at[piece] + L[piece]
+        fk = f(x[k], *Pc[:, piece])
+        flips = np.append(np.flatnonzero(fk * fl[piece] <= 0.0), len(k))
+        n = np.minimum(flips[np.searchsorted(flips, at)] - at, n_in)
+        # the cell runs from point n - 1 to point n of the piece, where point
+        # -1 is the left break and point n_in the right one
+        left, right = n == 0, n == n_in
+        a = np.where(left, bx[cross], x[L + n - 1])
+        b = np.where(right, bx[cross + 1], x[np.minimum(L + n, len(x) - 1)])
+        fa = np.where(left, fl, fk[np.maximum(at + n - 1, 0)])
+        fc = np.where(right, fh, fk[np.minimum(at + n, len(k) - 1)])
+        roots = _refine(f, df, a, b, fa, fc, Pc)
 
     rx = np.concatenate([bx[touch], bx[hit], roots])
     rm = np.repeat([2, 1], [len(touch), len(hit) + len(cross)])
@@ -426,7 +421,7 @@ def _negative_ceilings(P):
     out = np.empty(len(v))
     todo = np.arange(len(v))
     for _ in range(60):
-        vals = _neg_resid_scaled(np.linspace(v, 2.0 * v, 129, axis=1), *P[:, todo, None])
+        vals = _neg_resid_scaled(_rows(v, 2.0 * v, 129), *P[:, todo, None])
         closed = np.all(vals > 0.0, axis=1) | np.all(vals < 0.0, axis=1)
         out[todo[closed]] = 2.0 * v[closed]
         todo, v = todo[~closed], 2.0 * v[~closed]
