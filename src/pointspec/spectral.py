@@ -290,6 +290,11 @@ _ENDS = [0, 4, 5, 9]
 _PICK = np.array([[0], [1], [5], [6]])
 
 
+#: the crossing search probes 31 grid points of a piece per step, at these
+#: thirtieths of the way across it
+_SPREAD = np.arange(31)
+
+
 def _rows(start, stop, n):
     """Row i is np.linspace(start[i], stop[i], n), bit for bit."""
     row = np.arange(n) * ((stop - start) / (n - 1))[:, None]
@@ -314,32 +319,34 @@ def _scan_segments(f, df, d2f, start, stop, num, P):
     """
     # segments of one length form a 2-d grid whose rows broadcast against
     # their parameters, and a run of equal grids (every dense negative
-    # window) is built once; x holds all grids end to end, in order of
-    # length, and dx holds df on them
+    # window) is built and evaluated as one row; x holds all grids end to
+    # end, in order of length.  A cell over which df changes sign strictly
+    # brackets an extremum
     order = np.argsort(num, kind="stable")
     start, stop, num, P = start[order], stop[order], num[order], P[:, order]
     offset = np.concatenate([[0], np.cumsum(num)])
     first, last = offset[:-1], offset[1:] - 1
-    x, dx = np.empty((2, offset[-1]))
+    x = np.empty(offset[-1])
+    cells, dl, dr = [], [], []
     runs = [0, *(np.flatnonzero(num[1:] != num[:-1]) + 1), len(num)]
     for r0, r1 in zip(runs[:-1], runs[1:]):
-        o0, o1, shape = offset[r0], offset[r1], (r1 - r0, num[r0])
-        lo, hi = start[r0:r1], stop[r0:r1]
+        n, lo, hi = num[r0], start[r0:r1], stop[r0:r1]
         if (lo == lo[0]).all() and (hi == hi[0]).all():
             lo, hi = lo[:1], hi[:1]
-        row = _rows(lo, hi, num[r0])
-        Pr = P[:, r0:r1, None]
-        x[o0:o1].reshape(shape)[:] = row
-        dx[o0:o1].reshape(shape)[:] = df(row, *Pr)
-
-    # extremum brackets: the cells over which df changes sign strictly
-    up, down = dx > 0.0, dx < 0.0
-    change = (up[:-1] & down[1:]) | (down[:-1] & up[1:])
-    change[last[:-1]] = False  # no cell joins two segments
-    i = np.flatnonzero(change)
+        row = _rows(lo, hi, n)
+        x[offset[r0] : offset[r1]].reshape(r1 - r0, n)[:] = row
+        d = df(row, *P[:, r0:r1, None])
+        up, down = d > 0.0, d < 0.0
+        r, c = np.nonzero((up[:, :-1] & down[:, 1:]) | (down[:, :-1] & up[:, 1:]))
+        cells.append(offset[r0] + r * n + c)
+        dl.append(d[r, c])
+        dr.append(d[r, c + 1])
+    i = np.concatenate(cells)
     iseg = np.searchsorted(offset, i, side="right") - 1
     Pi = P[:, iseg]
-    extrema = _refine(df, d2f, x[i], x[i + 1], dx[i], dx[i + 1], Pi) if len(i) else x[:0]
+    extrema = x[:0]
+    if len(i):
+        extrema = _refine(df, d2f, x[i], x[i + 1], np.concatenate(dl), np.concatenate(dr), Pi)
 
     # breakpoints: each segment's ends and extrema, sorted, without repeats;
     # a value that is both an end and an extremum counts as an extremum.
@@ -373,28 +380,31 @@ def _scan_segments(f, df, d2f, start, stop, num, P):
     hit = j[(fb[j] == 0.0) & (j > 0) & same[j - 1]]
     cross = j[fb[j] * fb[j + 1] < 0.0]
 
-    # a piece can span many grid cells, where Newton converges slowly; f on
-    # the grid points inside the crossing pieces (indices lo to hi) narrows
-    # each to the cell before its first point where f has left the sign at
-    # its left break, so that each piece still yields exactly one root
+    # a piece can span many grid cells, where Newton converges slowly; a
+    # search over the grid points inside it (index lo - 1 standing for its
+    # left break, hi + 1 for its right one) narrows it to one cell on which
+    # f changes sign, so each piece still yields exactly one root.  Each
+    # step evaluates f at up to len(_SPREAD) points spread evenly over the
+    # open range and keeps the cell before the first one past the sign change
     roots = x[:0]
     if len(cross):
-        L, fl, fh, Pc = lo[cross], fb[cross], fb[cross + 1], P[:, bseg[cross]]
-        n_in = np.maximum(hi[cross + 1] - L + 1, 0)
-        at = np.cumsum(n_in) - n_in  # where each piece starts in k
-        piece = np.repeat(np.arange(len(cross)), n_in)
-        k = np.arange(len(piece)) - at[piece] + L[piece]
-        fk = f(x[k], *Pc[:, piece])
-        flips = np.append(np.flatnonzero(fk * fl[piece] <= 0.0), len(k))
-        n = np.minimum(flips[np.searchsorted(flips, at)] - at, n_in)
-        # the cell runs from point n - 1 to point n of the piece, where point
-        # -1 is the left break and point n_in the right one
-        left, right = n == 0, n == n_in
-        a = np.where(left, bx[cross], x[L + n - 1])
-        b = np.where(right, bx[cross + 1], x[np.minimum(L + n, len(x) - 1)])
-        fa = np.where(left, fl, fk[np.maximum(at + n - 1, 0)])
-        fc = np.where(right, fh, fk[np.minimum(at + n, len(k) - 1)])
-        roots = _refine(f, df, a, b, fa, fc, Pc)
+        L, H = lo[cross] - 1, hi[cross + 1] + 1
+        fl, fh = fb[cross], fb[cross + 1]
+        Pc = P[:, bseg[cross]]
+        k = np.flatnonzero(H - L > 1)
+        while len(k):
+            M = L[k, None] + 1 + (H[k] - L[k] - 2)[:, None] * _SPREAD // _SPREAD[-1]
+            fm = f(x[M], *Pc[:, k, None])
+            flip = fm * fl[k, None] <= 0.0
+            j = np.where(flip.any(axis=1), flip.argmax(axis=1), len(_SPREAD))
+            r = np.arange(len(k))
+            up, down = j < len(_SPREAD), j > 0
+            H[k[up]], fh[k[up]] = M[r[up], j[up]], fm[r[up], j[up]]
+            L[k[down]], fl[k[down]] = M[r[down], j[down] - 1], fm[r[down], j[down] - 1]
+            k = k[H[k] - L[k] > 1]
+        a = np.where(L < lo[cross], bx[cross], x[np.maximum(L, 0)])
+        b = np.where(H > hi[cross + 1], bx[cross + 1], x[np.minimum(H, len(x) - 1)])
+        roots = _refine(f, df, a, b, fl, fh, Pc)
 
     rx = np.concatenate([bx[touch], bx[hit], roots])
     rm = np.repeat([2, 1], [len(touch), len(hit) + len(cross)])
