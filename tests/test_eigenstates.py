@@ -1,4 +1,7 @@
+import cmath
 import math
+import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +30,7 @@ from pointspec import (
     scale_invariant_mode,
     solve_coefficients,
     spectrum,
+    to_matrix,
     zero_mode,
 )
 from pointspec import eigenstates
@@ -187,6 +191,157 @@ class TestEigenbasis:
         monkeypatch.setattr(eigenstates, "spectrum", lambda p, g, n: doubled)
         with pytest.raises(ContradictionError, match="nullspace rank"):
             eigenbasis(DIRICHLET, G1, 1)
+
+
+def _ref_basis(sector, k):
+    if sector == "zero":
+        return (1, 0.0), (0, 0.0)
+    rate = 1j * k if sector == "positive" else k
+    return (0, rate), (0, -rate)
+
+
+def _ref_values(basis, coeffs, x):
+    """psi(x) and psi'(x) of sum c x**n exp(r x), for n = 0 or 1."""
+    v = d = 0j
+    for c, (n, r) in zip(coeffs, basis):
+        e = cmath.exp(r * x)
+        v += c * x**n * e
+        d += c * (r * x**n + n) * e
+    return v, d
+
+
+def _ref_moment(n, nu, l):
+    z = nu * l
+    if abs(z) < 1e-8:
+        return l ** (n + 1) * sum(z**j / (math.factorial(j) * (n + j + 1)) for j in range(4))
+    e = cmath.exp(z)
+    total = (e - 1.0) / nu
+    for j in range(1, n + 1):
+        total = (l**j * e - j * total) / nu
+    return total
+
+
+def _ref_inner(basis, c1, c2, l):
+    return sum(
+        c1[i].conjugate() * c2[j] * _ref_moment(n1 + n2, r1.conjugate() + r2, l)
+        for i, (n1, r1) in enumerate(basis)
+        for j, (n2, r2) in enumerate(basis)
+    )
+
+
+def _ref_modes(p, g, sector, k):
+    """The per-level route: SVD nullspace, Gram-Schmidt in L2, normalize's phase."""
+    basis = _ref_basis(sector, k)
+    U, eye = to_matrix(p), np.eye(2)
+    cols = []
+    for unit in ((1.0, 0.0), (0.0, 1.0)):
+        (v0, d0), (vl, dl) = (_ref_values(basis, unit, x) for x in (0.0, g.l))
+        cols.append((U - eye) @ [v0, vl] + 1j * p.L0 * (U + eye) @ [d0, -dl])
+    _, sv, vh = np.linalg.svd(np.column_stack(cols))
+    if sector == "zero":
+        vecs = [vh[1].conj()]
+    else:
+        mscale = max(1.0, k * p.L0)
+        if sector == "negative":
+            mscale *= math.cosh(min(k * g.l, 700.0))
+        thresh = 1e-8 * max(sv[0], 1e-3 * mscale)
+        vecs = [vh[i].conj() for i in range(2) if sv[i] <= thresh]
+    out = []
+    for v in vecs:
+        c = [complex(v[0]), complex(v[1])]
+        for q in out:
+            ip = _ref_inner(basis, q, c, g.l)
+            c = [c[0] - ip * q[0], c[1] - ip * q[1]]
+        nrm = math.sqrt(_ref_inner(basis, c, c, g.l).real)
+        c = [c[0] / nrm, c[1] / nrm]
+        v0, d0 = _ref_values(basis, c, 0.0)
+        d0 *= g.l
+        z = v0 if abs(v0) > 1e-8 * math.hypot(abs(v0), abs(d0)) else d0
+        phase = z.conjugate() / abs(z) if abs(z) > 0.0 else 1.0
+        out.append([c[0] * phase, c[1] * phase])
+    return basis, out
+
+
+def _degenerate_negative_point():
+    # U = (X - i kappa Y)(X + i kappa Y)^-1 admits both exp(+-kappa x) at
+    # kappa = 2, l = L0 = 1: a doubly degenerate negative level
+    kappa, e = 2.0, math.exp(2.0)
+    X = np.array([[1.0, 1.0], [e, 1.0 / e]])
+    Y = np.array([[1.0, -1.0], [-e, 1.0 / e]])
+    U = (X - 1j * kappa * Y) @ np.linalg.inv(X + 1j * kappa * Y)
+    xi = cmath.phase(np.linalg.det(U)) / 2.0 % math.pi
+    alpha, beta = U[0] * cmath.exp(-1j * xi)
+    return make_u2(xi, complex(alpha), complex(beta))
+
+
+_HAAR = np.random.default_rng(606)
+REFERENCE_CASES = [
+    *((f"haar-{i}", haar_point(_HAAR), G1, 256) for i in range(3)),
+    ("plus-pole", make_u2(math.pi / 2, 0.0, 1j), G1, 64),
+    ("minus-pole", make_u2(math.pi / 2, 0.0, -1j), G1, 64),
+    ("dirichlet-dirichlet", DIRICHLET, G1, 32),
+    ("neumann-neumann", NEUMANN, BoxGeometry(l=3.0, hbar=1.0, mass=0.5), 32),
+    ("dirichlet-neumann", make_u2(math.pi / 2, 1j, 0.0), G1, 32),
+    ("neumann-dirichlet", make_u2(math.pi / 2, -1j, 0.0), G1, 32),
+    ("twisted-circle", make_u2(math.pi / 2, 0.0,
+                               complex(math.sin(0.3 * math.pi), -math.cos(0.3 * math.pi))), G1, 64),
+    ("degenerate-negative", _degenerate_negative_point(), BoxGeometry(l=1.0), 8),
+]
+
+
+class TestEigenbasisReference:
+    """eigenbasis against a test-local copy of the per-level route."""
+
+    @pytest.mark.parametrize("name, p, g, n", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+    def test_matches_per_level_route(self, name, p, g, n):
+        tangential = name == "degenerate-negative"
+        with pytest.warns(RuntimeWarning, match="tangential") if tangential else nullcontext():
+            basis = eigenbasis(p, g, n)
+            levels = spectrum(p, g, n).levels
+        assert [lv for lv, _ in basis] == list(levels)
+        for lv, modes in basis:
+            ref_basis, ref = _ref_modes(p, g, lv.sector, lv.parameter)
+            assert len(modes) == len(ref) == lv.multiplicity
+            got = [[m.coeff_a, m.coeff_b] for m in modes]
+            if len(ref) == 1:
+                scale = max(abs(ref[0][0]), abs(ref[0][1]))
+                assert max(abs(got[0][i] - ref[0][i]) for i in range(2)) <= 1e-12 * scale
+            else:
+                # a degenerate eigenspace may rotate: compare the projector onto the span
+                proj = sum(np.outer(c, np.conj(c)) for c in got)
+                ref_proj = sum(np.outer(c, np.conj(c)) for c in ref)
+                assert np.max(np.abs(proj - ref_proj)) <= 1e-10
+            for m, c in zip(modes, ref):
+                ref_norm = _ref_inner(ref_basis, c, c, g.l).real
+                assert abs(mode_inner(m, m, g).real - ref_norm) <= 1e-12
+                assert boundary_residual(m, p, g) <= 1e-9
+
+
+class TestEigenbasisFiniteOrRaise:
+    """Bound states beyond the float range raise, or come out finite and normalized."""
+
+    POINTS = [
+        ("long-box", make_u2(math.pi / 2, 1.0, 0.0, 1.0), BoxGeometry(l=440.0, hbar=1.0, mass=0.75)),
+        ("tiny-L0", make_u2(1.2900997279407822, complex(0.4882743886959906, -0.5241502523018554),
+                            complex(-0.5371082082819572, 0.4453868059918296), 1e-5),
+         BoxGeometry(l=1.0, hbar=1.0, mass=0.75)),
+    ]
+
+    @pytest.mark.parametrize("name, p, g", POINTS, ids=[c[0] for c in POINTS])
+    def test_finite_or_raise(self, name, p, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the root finder's flag for an even-order root is not the modes' to raise
+            warnings.filterwarnings("ignore", "tangential", RuntimeWarning)
+            try:
+                basis = eigenbasis(p, g, 8)
+            except OverflowError:
+                return
+            for _, modes in basis:
+                for m in modes:
+                    assert math.isfinite(abs(m.coeff_a)) and math.isfinite(abs(m.coeff_b))
+                    assert abs(mode_inner(m, m, g) - 1.0) <= 1e-10
+                    assert boundary_residual(m, p, g) <= 1e-8
 
 
 class TestScaleInvariantClosedForms:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pointspec import (
     BoxGeometry,
@@ -10,7 +11,9 @@ from pointspec import (
     fd_spectrum,
     make_u2,
     spectrum,
+    to_matrix,
 )
+from pointspec import oracle
 from helpers import haar_point
 
 RNG = np.random.default_rng(20240816)
@@ -89,3 +92,41 @@ class TestAgainstTranscendental:
     def test_explicit_shift_respected(self):
         vals = fd_spectrum(DIRICHLET, G1, FdConfig(n_points=600, shift=-5.0), 2)
         assert vals[0] == pytest.approx(math.pi**2, rel=1e-3)
+
+
+def _lil_matrix(p, g, n_points):
+    """The reduced matrix built as LIL with the eight corner entries edited in place."""
+    n_cells = n_points + 1
+    h = g.l / n_cells
+    t = g.hbar**2 / (2.0 * g.mass * h * h)
+    U = to_matrix(p)
+    eye2 = np.eye(2)
+    B = (U - eye2) - (3j * p.L0 / (2.0 * h)) * (U + eye2)
+    W = -1j * p.L0 * np.linalg.solve(B, (U + eye2))
+    main = np.full(n_points, 2.0 * t, dtype=complex)
+    off = np.full(n_points - 1, -t, dtype=complex)
+    H = sp.diags([off, main, off], [-1, 0, 1], format="lil", dtype=complex)
+    iA, iB = 0, n_points - 1
+    for row, (w0, w1) in ((iA, W[0]), (iB, W[1])):
+        H[row, iA] += -t * w0 * (4.0 / (2.0 * h))
+        H[row, iA + 1] += -t * w0 * (-1.0 / (2.0 * h))
+        H[row, iB] += -t * w1 * (4.0 / (2.0 * h))
+        H[row, iB - 1] += -t * w1 * (-1.0 / (2.0 * h))
+    return H.tocsc()
+
+
+class TestAssembly:
+    POINTS = [
+        ("haar", haar_point(np.random.default_rng(11), L0=1.0)),
+        ("dirichlet-dirichlet", DIRICHLET),
+        ("twisted-circle", make_u2(math.pi / 2, 0.0, complex(math.sin(0.3 * math.pi), -math.cos(0.3 * math.pi)))),
+        ("plus-pole", make_u2(math.pi / 2, 0.0, 1j)),
+    ]
+
+    @pytest.mark.parametrize("n_points", [64, 40000])
+    @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
+    def test_matches_lil_build(self, name, p, n_points):
+        H, ref = oracle._reduced_matrix(p, G1, n_points), _lil_matrix(p, G1, n_points)
+        assert H.format == "csc" and H.has_sorted_indices
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(H, attr), getattr(ref, attr))
