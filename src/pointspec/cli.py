@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import kernels, oracle
-from .eigenstates import boundary_residual, eigenbasis, mode_inner
+from .eigenstates import eigenbasis, residuals_and_norms
 from .errors import ConstraintError, ContradictionError, PointspecError
 from .spectral import (
     SECTOR_NEGATIVE,
@@ -339,17 +339,20 @@ def _cmd_spectrum(cfg):
 
 def _cmd_eigenstate(cfg):
     p, g = _point(cfg), _geometry(cfg)
+    basis = eigenbasis(p, g, cfg["levels"])
+    residuals, norms = residuals_and_norms([m for _, modes in basis for m in modes], p, g)
+    checks = zip(residuals.tolist(), norms.tolist())
     entries = []
     rows = []
-    for i, (lv, modes) in enumerate(eigenbasis(p, g, cfg["levels"])):
+    for i, (lv, modes) in enumerate(basis):
         level = _level_dict(lv)
         mode_payload = []
-        for m in modes:
+        for m, (residual, norm) in zip(modes, checks):
             entry = {
                 "coeff_a": m.coeff_a,
                 "coeff_b": m.coeff_b,
-                "boundary_residual": boundary_residual(m, p, g),
-                "norm": mode_inner(m, m, g).real,
+                "boundary_residual": residual,
+                "norm": norm,
             }
             mode_payload.append(entry)
             rows.append({"index": i, **level, **entry})

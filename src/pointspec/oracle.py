@@ -65,16 +65,18 @@ def _reduced_matrix(p: U2Params, g: BoxGeometry, n_points: int):
 
     main = np.full(n_points, 2.0 * t, dtype=complex)
     off = np.full(n_points - 1, -t, dtype=complex)
-    H = sp.diags([off, main, off], [-1, 0, 1], format="lil", dtype=complex)
-    # row for psi_1 gains -t * psi_0, row for psi_{N-1} gains -t * psi_N
+    # row for psi_1 gains -t * psi_0, row for psi_{N-1} gains -t * psi_N, where
+    # (psi_0, psi_N) = W (r0, rN) and r0, rN take psi with weights (4, -1)/(2h)
     iA, iB = 0, n_points - 1  # grid points 1 and N-1
-    for row, wrow in ((iA, W[0]), (iB, W[1])):
-        w0, w1 = wrow
-        H[row, iA] += -t * w0 * (4.0 / (2.0 * h))
-        H[row, iA + 1] += -t * w0 * (-1.0 / (2.0 * h))
-        H[row, iB] += -t * w1 * (4.0 / (2.0 * h))
-        H[row, iB - 1] += -t * w1 * (-1.0 / (2.0 * h))
-    return H.tocsc()
+    weights = -t * np.repeat(W, 2, axis=1).ravel() * np.tile([4.0, -1.0], 4) / (2.0 * h)
+    corners = sp.csc_matrix(
+        (weights, ([iA] * 4 + [iB] * 4, [iA, iA + 1, iB, iB - 1] * 2)),
+        shape=(n_points, n_points),
+    )
+    H = sp.diags([off, main, off], [-1, 0, 1], format="csc", dtype=complex) + corners
+    H.eliminate_zeros()
+    H.sort_indices()
+    return H
 
 
 def _default_shift(p: U2Params, g: BoxGeometry) -> float:
