@@ -18,7 +18,8 @@ from pointspec import (
     spectrum,
 )
 from pointspec import kernels
-from pointspec.cli import main
+from pointspec import cli
+from pointspec.cli import DEFAULT_KERNEL_TIMES, main
 
 G1 = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
 
@@ -393,6 +394,23 @@ class TestConfigFile:
         code, _ = run(tmp_path, "spectrum", "--config", str(cfg))
         assert code == 2
 
+    def test_second_run_sees_no_earlier_flags_or_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau=0.7\ngrid=3\nmass=0.5\nL0=2\n")
+        assert main(["kernel-compare", "--tau=0.3", "--config", str(cfg)]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert [r["tau"] for r in first["results"]] == [0.3]
+        assert first["grid"] == 3 and first["geometry"]["mass"] == 0.5
+        assert main(["kernel-compare"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        # hbar = mass = l = 1: tau = 2 m l^2 / hbar times each default time
+        assert [r["tau"] for r in second["results"]] == [2.0 * t for t in DEFAULT_KERNEL_TIMES]
+        assert second["grid"] == 5
+        assert second["geometry"] == {"length": 1, "hbar": 1, "mass": 1}
+        assert second["point"] == {
+            "xi": 0, "alpha": {"re": 1, "im": 0}, "beta": {"re": 0, "im": 0}, "L0": 1,
+        }
+
     @pytest.mark.parametrize("line", ["k-max = 5", "k_max = 5"])
     def test_k_max_key_rejected(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -401,7 +419,98 @@ class TestConfigFile:
         assert code == 2
 
 
+# one payload reaching every branch of the writers
+GOLDEN_PAYLOAD = {
+    "none": None, "true": True, "false": False, "np_bool": np.bool_(True),
+    "int": 7, "np_int": np.int64(-3),
+    "pi": math.pi, "one": 1.0, "neg_zero": -0.0, "tenth": 0.1,
+    "tiny": 1e-300, "huge": 1e300, "np_float": np.float64(2.5),
+    "complex": complex(1.5, -0.25), "np_complex": np.complex128(-1 + 2j),
+    "text": 'say "hi" \\ bye',
+    "empty_dict": {}, "empty_list": [], "tuple": (1, 0.5),
+    "nested": {"a": [{"b": [1, {"c": None}]}]},
+}
+GOLDEN_JSON = r"""{
+  "none": null,
+  "true": true,
+  "false": false,
+  "np_bool": true,
+  "int": 7,
+  "np_int": -3,
+  "pi": 3.1415926535897931,
+  "one": 1,
+  "neg_zero": -0,
+  "tenth": 0.10000000000000001,
+  "tiny": 1e-300,
+  "huge": 1.0000000000000001e+300,
+  "np_float": 2.5,
+  "complex": {
+    "re": 1.5,
+    "im": -0.25
+  },
+  "np_complex": {
+    "re": -1,
+    "im": 2
+  },
+  "text": "say \"hi\" \\ bye",
+  "empty_dict": {},
+  "empty_list": [],
+  "tuple": [
+    1,
+    0.5
+  ],
+  "nested": {
+    "a": [
+      {
+        "b": [
+          1,
+          {
+            "c": null
+          }
+        ]
+      }
+    ]
+  }
+}
+"""
+GOLDEN_ROWS = [
+    {"index": 0, "z": complex(0.1, -2.0), "note": None, "flag": np.bool_(False),
+     "x": np.float64(0.1), "n": np.int64(3), "s": "a,b"},
+    {"index": 1, "z": np.complex128(1j), "note": "x", "flag": True, "x": -0.0, "n": 4,
+     "s": 'q"'},
+]
+GOLDEN_CSV = (
+    "index,z_re,z_im,note,flag,x,n,s\n"
+    '0,0.10000000000000001,-2,,false,0.10000000000000001,3,"a,b"\n'
+    '1,0,1,x,true,-0,4,"q"""\n'
+)
+
+
+def emitted(payload, rows, fmt, capsys):
+    cli._emit(payload, rows, {"format": fmt, "out": None})
+    return capsys.readouterr().out
+
+
 class TestSerialization:
+    def test_golden_json(self, capsys):
+        assert emitted(GOLDEN_PAYLOAD, [], "json", capsys) == GOLDEN_JSON
+
+    def test_golden_csv(self, capsys):
+        # complex columns split into _re/_im, None is an empty cell
+        assert emitted({}, GOLDEN_ROWS, "csv", capsys) == GOLDEN_CSV
+
+    def test_golden_json_is_json(self):
+        doc = json.loads(GOLDEN_JSON)
+        assert doc["pi"] == math.pi and doc["tenth"] == 0.1 and doc["huge"] == 1e300
+        assert doc["text"] == GOLDEN_PAYLOAD["text"]
+
+    def test_unsupported_type_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setitem(
+            cli._COMMANDS, "spectrum", lambda cfg: cli._emit({"bad": set()}, [], cfg)
+        )
+        assert main(["spectrum"]) == 2
+        assert "cannot serialize set" in capsys.readouterr().err
+
     def test_reals_roundtrip_17_digits(self, tmp_path):
         code, text = run(tmp_path, "spectrum", *DIRICHLET_ARGS, "--levels", "1")
         doc = json.loads(text)
