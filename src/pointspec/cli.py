@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -79,63 +80,69 @@ _REPEATABLE = {"tau", "sweep"}
 # ---------------------------------------------------------------------------
 
 
-def _fmt_real(x) -> str:
-    return format(float(x), ".17g")
+def _json_text(payload) -> str:
+    """payload as JSON text, written in one walk and joined once.
+
+    Types are matched exactly, float first; a numpy scalar is written as the
+    Python scalar .item() gives, and any other type is a ConstraintError.
+    """
+    chunks = []
+    put = chunks.append
+
+    def write(obj, pad):
+        t = type(obj)
+        if t is float:
+            put("%.17g" % obj)
+        elif t is dict:
+            inner, sep = pad + "  ", "{\n"
+            for key, value in obj.items():
+                put(f'{sep}{inner}"{key}": ')
+                write(value, inner)
+                sep = ",\n"
+            put(f"\n{pad}}}" if obj else "{}")
+        elif t is list or t is tuple:
+            inner, sep = pad + "  ", "[\n"
+            for value in obj:
+                put(sep + inner)
+                write(value, inner)
+                sep = ",\n"
+            put(f"\n{pad}]" if obj else "[]")
+        elif t is complex:
+            inner = pad + "  "
+            put(f'{{\n{inner}"re": {obj.real:.17g},\n{inner}"im": {obj.imag:.17g}\n{pad}}}')
+        elif t is str:
+            put('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        elif t is bool:
+            put("true" if obj else "false")
+        elif t is int:
+            put(str(obj))
+        elif obj is None:
+            put("null")
+        elif isinstance(obj, np.generic):
+            write(obj.item(), pad)
+        else:
+            raise ConstraintError(f"cannot serialize {t.__name__}")
+
+    write(payload, "")
+    return "".join(chunks)
 
 
-def _coerce_scalar(obj):
-    """Map numpy scalars onto the plain Python types the writers expect."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return complex(obj)
-    return obj
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    obj = _coerce_scalar(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_real(obj)
-    if isinstance(obj, complex):
-        return _json_text({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_json_text(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise ConstraintError(f"cannot serialize {type(obj).__name__}")
-
-
-def _flatten_cell(value):
-    value = _coerce_scalar(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_real(value)
+def _cells(value) -> tuple:
+    """The CSV cells of one value, by the JSON writer's scalar rule: a complex is two, None empty."""
+    t = type(value)
+    if t is float:
+        return ("%.17g" % value,)
+    if t is complex:
+        return ("%.17g" % value.real, "%.17g" % value.imag)
+    if t is bool:
+        return ("true" if value else "false",)
+    if t is int or t is str:
+        return (str(value),)
     if value is None:
-        return ""
-    return str(value)
+        return ("",)
+    if isinstance(value, np.generic):
+        return _cells(value.item())
+    raise ConstraintError(f"cannot serialize {t.__name__}")
 
 
 def _csv_text(rows) -> str:
@@ -144,21 +151,11 @@ def _csv_text(rows) -> str:
         return ""
     header = []
     for key, value in rows[0].items():
-        if isinstance(value, complex):
-            header.extend([f"{key}_re", f"{key}_im"])
-        else:
-            header.append(key)
+        header += [f"{key}_re", f"{key}_im"] if len(_cells(value)) == 2 else [key]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        cells = []
-        for value in row.values():
-            if isinstance(value, complex):
-                cells.extend([_fmt_real(value.real), _fmt_real(value.imag)])
-            else:
-                cells.append(_flatten_cell(value))
-        writer.writerow(cells)
+    writer.writerows([cell for value in row.values() for cell in _cells(value)] for row in rows)
     return buf.getvalue()
 
 
@@ -176,6 +173,7 @@ def _emit(payload, rows, cfg):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for dest, (flag, typ, _) in _FLAG_SPECS.items():
@@ -302,7 +300,7 @@ def _cmd_classify(cfg):
         row["twist_angle"] = payload["twist_angle"]
     if flags.separated:
         sl = separated_lengths(p, tol)
-        as_text = lambda v: "inf" if is_infinite(v) else _fmt_real(v)
+        as_text = lambda v: "inf" if is_infinite(v) else "%.17g" % v
         payload["robin_lengths"] = {"l_plus": as_text(sl.l_plus), "l_minus": as_text(sl.l_minus)}
         row["l_plus"] = as_text(sl.l_plus)
         row["l_minus"] = as_text(sl.l_minus)

@@ -504,11 +504,11 @@ class TestSerialization:
         assert doc["pi"] == math.pi and doc["tenth"] == 0.1 and doc["huge"] == 1e300
         assert doc["text"] == GOLDEN_PAYLOAD["text"]
 
-    def test_unsupported_type_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setitem(
-            cli._COMMANDS, "spectrum", lambda cfg: cli._emit({"bad": set()}, [], cfg)
-        )
-        assert main(["spectrum"]) == 2
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unsupported_type_exits_2(self, monkeypatch, capsys, fmt):
+        bad = {"bad": set()}
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", lambda cfg: cli._emit(bad, [bad], cfg))
+        assert main(["spectrum", "--format", fmt]) == 2
         assert "cannot serialize set" in capsys.readouterr().err
 
     def test_reals_roundtrip_17_digits(self, tmp_path):
