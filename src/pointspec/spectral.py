@@ -71,7 +71,11 @@ SECTOR_POSITIVE = "positive"
 
 @dataclass(frozen=True)
 class BoxGeometry:
-    """Box width and physical constants; everything strictly positive."""
+    """Box width and physical constants; all finite and strictly positive.
+
+    The energy scale must be a finite nonzero float too, or every energy
+    would overflow or vanish.
+    """
 
     l: float
     hbar: float = 1.0
@@ -79,8 +83,14 @@ class BoxGeometry:
 
     def __post_init__(self):
         for name in ("l", "hbar", "mass"):
-            if not getattr(self, name) > 0.0:
-                raise ConstraintError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConstraintError(f"{name} must be finite and strictly positive")
+        try:
+            scale = self.energy_scale
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ConstraintError(f"energy scale hbar^2 / (2 m l^2) = {scale!r} is out of range")
 
     @property
     def energy_scale(self) -> float:

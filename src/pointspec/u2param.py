@@ -79,7 +79,7 @@ class U2Params:
     Invariants (enforced on construction):
       * |alpha|^2 + |beta|^2 = 1 within 1e-12,
       * xi in [0, pi),
-      * L0 > 0.
+      * L0 > 0 and finite.
     """
 
     xi: float
@@ -89,14 +89,14 @@ class U2Params:
 
     def __post_init__(self):
         norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm2 - 1.0) > _UNIT_NORM_TOL:
+        if not abs(norm2 - 1.0) <= _UNIT_NORM_TOL:
             raise ConstraintError(
                 f"|alpha|^2 + |beta|^2 = {norm2!r} is not 1 within {_UNIT_NORM_TOL}"
             )
         if not (0.0 <= self.xi < math.pi):
             raise ConstraintError(f"xi = {self.xi!r} outside [0, pi)")
-        if not self.L0 > 0.0:
-            raise ConstraintError(f"L0 = {self.L0!r} must be strictly positive")
+        if not 0.0 < self.L0 < math.inf:
+            raise ConstraintError(f"L0 = {self.L0!r} must be finite and strictly positive")
 
     @property
     def alpha_re(self) -> float:

@@ -370,6 +370,23 @@ class TestOracleCheckCommand:
         assert outputs[0] == outputs[1]
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--L0=inf"],
+            ["spectrum", "--L0=inf"],
+            ["spectrum", "--length=inf"],
+            ["spectrum", "--hbar=1e300"],  # hbar**2 overflows
+            ["spectrum", "--hbar=1e-200"],  # hbar**2 underflows to 0
+            ["spectrum", "--mass=inf"],
+            ["spectrum", "--alpha-re=nan"],
+        ],
+    )
+    def test_refused_with_exit_2(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == (2, "")
+
+
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
