@@ -135,6 +135,8 @@ class ScaleInvariantCoefficients:
 
 #: cmath.exp raises OverflowError for an exponent with a real part beyond this
 _EXP_MAX = math.log(sys.float_info.max)
+#: terms of the small-argument moment series; the first one left out, z**20 / 20!, is below 1e-18
+_SERIES_TERMS = 20
 #: the array core lets a product overflow to inf quietly, as Python arithmetic does
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
@@ -177,9 +179,13 @@ def _moments(n, nu, l):
     z = nu * l
     if np.any(z.real > _EXP_MAX):
         raise OverflowError("math range error")
-    small = np.abs(z) < 1e-8
-    # the series sum_j z**j / (j! (n + j + 1)) to j = 3, by Horner's rule
-    series = l ** (n + 1) * (1 / (n + 1) + z * (1 / (n + 2) + z * (1 / (2 * n + 6) + z / (6 * n + 24))))
+    # the closed form divides a cancellation by nu up to three times, so for
+    # |z| <= 1 use the series sum_j z**j / (j! (n + j + 1)), by Horner's rule
+    small = np.abs(z) <= 1.0
+    series = 0.0
+    for j in range(_SERIES_TERMS - 1, -1, -1):
+        series = series * z + 1.0 / (math.factorial(j) * (n + j + 1))
+    series = l ** (n + 1) * series
     nu = np.where(small, 1.0, nu)
     e = np.exp(np.where(small, 0.0, z))
     total = (e - 1.0) / nu

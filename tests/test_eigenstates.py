@@ -4,6 +4,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -517,3 +518,61 @@ class TestModeInner:
                     np.trapezoid(np.abs(m1.psi(x)) ** 2, x) * np.trapezoid(np.abs(m2.psi(x)) ** 2, x)
                 )
                 assert abs(mode_inner(m1, m2, self.G) - quad) <= 1e-8 * scale
+
+
+def mp_inner(m1, m2, l):
+    """<m1, m2> on [0, l] by 50-digit quadrature of the mode functions."""
+
+    def psi(m):
+        a, b = mp.mpc(m.coeff_a), mp.mpc(m.coeff_b)
+        if m.sector == "zero":
+            return lambda x: a * x + b
+        rate = mp.mpc(0, m.parameter) if m.sector == "positive" else mp.mpf(m.parameter)
+        return lambda x: a * mp.exp(rate * x) + b * mp.exp(-rate * x)
+
+    f1, f2 = psi(m1), psi(m2)
+    with mp.workdps(50):
+        integrand = lambda x: mp.conj(f1(x)) * f2(x)
+        return complex(mp.quad(integrand, [0, l], method="gauss-legendre"))
+
+
+class TestModeInnerSmallArguments:
+    """Inner products whose exponent nu l is small, where the closed form cancels.
+
+    |nu l| runs from 1e-9 to 3 on both sides of the series cut at 1; the
+    reference is 50-digit quadrature.
+    """
+
+    L = 1.3
+    SIZES = [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 0.5, 0.999, 1.001, 2.0, 3.0]
+    # each pair's smallest nonzero |nu l| is the size s
+    PAIRS = {
+        "real, n = 0": lambda s, L: (("negative", s / (2 * L)), ("negative", s / (2 * L))),
+        "imaginary, n = 0": lambda s, L: (("positive", s / (2 * L)), ("positive", s / (2 * L))),
+        "complex, n = 0": lambda s, L: (("positive", s / L), ("negative", s / L)),
+        "real, n = 1": lambda s, L: (("zero", None), ("negative", s / L)),
+        "imaginary, n = 1": lambda s, L: (("zero", None), ("positive", s / L)),
+        "n = 2": lambda s, L: (("zero", None), ("zero", None)),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_mode_inner_matches_quadrature(self, pair):
+        g = BoxGeometry(l=self.L)
+        for s in self.SIZES:
+            first, second = self.PAIRS[pair](s, self.L)
+            m1, m2 = Mode(*first, 1.0, 0.5j), Mode(*second, 0.8, 0.6)
+            for a, b in ((m1, m2), (m2, m1), (m1, m1)):
+                ref = mp_inner(a, b, self.L)
+                assert abs(mode_inner(a, b, g) - ref) <= 1e-14 * abs(ref), (pair, s)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_moments_match_quadrature(self, n):
+        # the private moments directly: mode_inner never pairs n = 2 with nu != 0
+        for angle in (0.0, math.pi, math.pi / 2, -math.pi / 2, 0.7, 2.5):
+            for s in self.SIZES:
+                nu = s * cmath.exp(1j * angle) / self.L
+                with mp.workdps(50):
+                    integrand = lambda x: x**n * mp.exp(mp.mpc(nu) * x)
+                    ref = complex(mp.quad(integrand, [0, self.L], method="gauss-legendre"))
+                got = complex(eigenstates._moments(np.array(n), np.array(nu), self.L))
+                assert abs(got - ref) <= 1e-14 * abs(ref), (angle, s)
