@@ -3,10 +3,11 @@
 Subcommands: classify | spectrum | eigenstate | kernel-compare | scan |
 oracle-check.  Flags are long form only and may also be supplied through a
 plain key=value config file (--config); explicit flags win.  Output is
-deterministic: fixed field order, reals printed with 17 significant digits,
-complex numbers as re/im pairs.  Exit status 0 on success, 2 on validation
-errors, 3 on numerical contradictions (a failed identity or an impossible
-root count).
+deterministic: JSON with a 2-space indent and fixed key order, reals printed
+with 17 significant digits (%.17g), complex numbers as {"re", "im"} objects
+(name_re, name_im columns in CSV).  Exit status 0 on success, 2 on validation
+errors (non-finite inputs included), 3 on numerical contradictions (a failed
+identity or an impossible root count).
 """
 
 from __future__ import annotations
