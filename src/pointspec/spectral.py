@@ -87,7 +87,7 @@ class BoxGeometry:
                 raise ConstraintError(f"{name} must be finite and strictly positive")
         try:
             scale = self.energy_scale
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # hbar**2 overflows or 2 m l**2 underflows
             scale = math.inf
         if not 0.0 < scale < math.inf:
             raise ConstraintError(f"energy scale hbar^2 / (2 m l^2) = {scale!r} is out of range")

@@ -377,6 +377,7 @@ class TestNonFiniteInputs:
             ["classify", "--L0=inf"],
             ["spectrum", "--L0=inf"],
             ["spectrum", "--length=inf"],
+            ["spectrum", "--length=1e-200"],  # l**2 underflows to 0
             ["spectrum", "--hbar=1e300"],  # hbar**2 overflows
             ["spectrum", "--hbar=1e-200"],  # hbar**2 underflows to 0
             ["spectrum", "--mass=inf"],
