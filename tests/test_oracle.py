@@ -94,6 +94,25 @@ class TestAgainstTranscendental:
         assert vals[0] == pytest.approx(math.pi**2, rel=1e-3)
 
 
+class TestEigensolverAccuracy:
+    @pytest.mark.parametrize("n_points", [4000, 40000])
+    def test_dirichlet_matches_the_discrete_levels(self, n_points):
+        # at the Dirichlet point the matrix is the bare tridiagonal, whose levels are known
+        # in closed form: the eigensolver's own error, far below the grid's O(h^2)
+        h = G1.l / (n_points + 1)
+        t = G1.hbar**2 / (2.0 * G1.mass * h * h)
+        j = np.arange(1, 9)
+        exact = 2.0 * t * (1.0 - np.cos(j * math.pi / (n_points + 1)))
+        vals = fd_spectrum(DIRICHLET, G1, FdConfig(n_points=n_points), 8)
+        assert np.max(np.abs(vals - exact) / exact) <= 1e-8
+
+    def test_repeated_calls_are_bit_identical(self):
+        p = haar_point(np.random.default_rng(7), L0=1.0)
+        first = fd_spectrum(p, G1, FdConfig(n_points=4000), 5)
+        second = fd_spectrum(p, G1, FdConfig(n_points=4000), 5)
+        assert np.array_equal(first, second)
+
+
 def _lil_matrix(p, g, n_points):
     """The reduced matrix built as LIL with the eight corner entries edited in place."""
     n_cells = n_points + 1
