@@ -232,6 +232,10 @@ def _resolve(args) -> dict:
             cfg[dest] = [] if dest in _REPEATABLE and default is None else default
     if cfg["format"] not in ("json", "csv"):
         raise ConstraintError("format must be json or csv")
+    if cfg["tol"] is not None and not 0.0 < cfg["tol"] < math.inf:
+        raise ConstraintError(f"tol must be finite and positive, not {cfg['tol']!r}")
+    if cfg["grid"] is not None and cfg["grid"] < 1:
+        raise ConstraintError(f"grid must be at least 1, not {cfg['grid']!r}")
     return cfg
 
 

@@ -388,6 +388,24 @@ class TestNonFiniteInputs:
         assert run(tmp_path, *argv) == (2, "")
 
 
+class TestMalformedTolAndGrid:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-check", "--tol=0"],  # divided by in the level floor
+            ["oracle-check", "--tol=nan"],
+            ["oracle-check", "--tol=-1"],
+            ["oracle-check", "--tol=inf"],  # would pass every level
+            ["classify", "--tol=nan"],
+            ["kernel-compare", "--grid=-5"],
+            ["kernel-compare", "--grid=0"],  # would run the default grid
+            ["oracle-check", "--grid=0"],
+        ],
+    )
+    def test_refused_with_exit_2(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == (2, "")
+
+
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

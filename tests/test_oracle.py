@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from pointspec import (
     BoxGeometry,
     ConstraintError,
+    ContradictionError,
     FdConfig,
     fd_spectrum,
     make_u2,
@@ -112,6 +113,11 @@ class TestEigensolverAccuracy:
         second = fd_spectrum(p, G1, FdConfig(n_points=4000), 5)
         assert np.array_equal(first, second)
 
+    def test_singular_shift_is_a_contradiction(self):
+        # 17 points, shift 2t: T - sigma is t (-1, 0, -1), exactly singular for odd sizes
+        with pytest.raises(ContradictionError):
+            fd_spectrum(DIRICHLET, G1, FdConfig(n_points=17, shift=2.0 * 18.0**2), 1)
+
 
 def _lil_matrix(p, g, n_points):
     """The reduced matrix built as LIL with the eight corner entries edited in place."""
@@ -145,7 +151,22 @@ class TestAssembly:
     @pytest.mark.parametrize("n_points", [64, 40000])
     @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
     def test_matches_lil_build(self, name, p, n_points):
-        H, ref = oracle._reduced_matrix(p, G1, n_points), _lil_matrix(p, G1, n_points)
-        assert H.format == "csc" and H.has_sorted_indices
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(H, attr), getattr(ref, attr))
+        H, _ = oracle._shift_invert(p, G1, n_points, oracle._default_shift(p, G1))
+        ref = _lil_matrix(p, G1, n_points)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+        expected = ref @ v
+        assert np.max(np.abs(H.matvec(v) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n_points", [64, 40000])
+    @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
+    def test_solve_backward_error(self, name, p, n_points):
+        sigma = oracle._default_shift(p, G1)
+        _, solve = oracle._shift_invert(p, G1, n_points, sigma)
+        A = _lil_matrix(p, G1, n_points) - sigma * sp.identity(n_points, format="csc")
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+        x = solve.matvec(b)
+        norm_a = np.max(np.asarray(abs(A).sum(axis=1)))
+        residual = np.max(np.abs(A @ x - b))
+        assert residual <= 1e-14 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
