@@ -114,7 +114,7 @@ class TestEigensolverAccuracy:
         assert np.array_equal(first, second)
 
     def test_singular_shift_is_a_contradiction(self):
-        # 17 points, shift 2t: T - sigma is t (-1, 0, -1), exactly singular for odd sizes
+        # 17 points, h = 1/18, t = 18^2: at shift 2t, T - sigma = t (-1, 0, -1), singular for odd N
         with pytest.raises(ContradictionError):
             fd_spectrum(DIRICHLET, G1, FdConfig(n_points=17, shift=2.0 * 18.0**2), 1)
 
