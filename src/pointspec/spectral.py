@@ -1,4 +1,4 @@
-"""Exact spectra of the point-interaction box: level conditions and roots.
+"""Exact spectra of the point-interaction box: level conditions, level counts and roots.
 
 For a boundary point (xi, alpha, beta, L0) on a box of width l the energy
 levels split into three sectors.
@@ -14,18 +14,43 @@ state psi = A x + B exists iff
 
     (Im beta + sin xi) - (l / 2 L0)(Re alpha - cos xi) = 0.
 
-All root finding happens in the dimensionless variable u = k l (v = kappa l)
-with the single scale ratio lam = L0 / l; only (xi, Re alpha, Im beta, lam)
-enter, which is the spectral-space reduction this module also exposes via
-`spectral_fingerprint`.  The level conditions of many points are therefore
-one array expression, and `spectra` solves a batch of points in shared array
-passes; `spectrum` is a batch of one.
+Only (xi, Re alpha, Im beta) (`spectral_fingerprint`) and lam = L0 / l
+enter; work is in u = k l (v = kappa l), with s = sin xi, b_i = Im beta,
+c1 = cos xi - Re alpha and c2 = cos xi + Re alpha.
+
+The levels are counted, not searched for.  The interval's Dirichlet-to-
+Neumann map is diagonal in the basis (1, +-1)/sqrt 2, with eigenvalues
+a = u tan(u/2), b = -u cot(u/2) (a = -v tanh(v/2), b = -v coth(v/2) below
+zero energy), so the boundary condition is the Hermitian pencil
+
+    c2 M = [[s + b_i + c2 lam a, g], [conj g, s - b_i + c2 lam b]],
+
+|g|^2 = 1 - Re alpha^2 - Im beta^2, which increases with the energy (a
+one-edge quantum graph; Kostrykin-Schrader, J. Phys. A 32 (1999) 595).  Its
+determinant is c2 R, R = -c1 + lam ((s - b_i) a + (s + b_i) b) + c2 lam^2 a b
+(the positive condition over -sin u, the scaled negative one over
+-(1 - e^-2v)), and its trace T = 2 s + c2 lam (a + b).  So floor(t) + n+
+states lie below E = (t pi / l)^2 and n+ below E = -(v / l)^2, where n+ is
+the number of positive eigenvalues of M.  In the Dirichlet cell
+n < t < n + 1 the count scales a, b, R and T by w = tan((t - n) pi / 2) > 0,
+which keeps the poles at the cell ends finite.  A |c2| up to 1e-12 is 0:
+det(U + I) = 2 e^(i xi) c2, so U has an exact Dirichlet direction, which
+leaves R s as the pencil's one eigenvalue.
+
+A step of the count across a Dirichlet energy u = n pi is a level at exactly
+n pi (a double one at the poles Im beta = +-1).  Every other state is
+isolated in its cell by bisecting on the count and refined on the level
+condition, or bisected on the count where the refined root is rounding
+noise of the condition.  Two states closer than 1e-7 relative are one
+double level, placed at the zero of T.  Bound states are sought in
+[1e-9, `negative_search_ceiling`] only, a heuristic window: deeper ones are
+left out, though the count knows them.  `spectra` solves a batch of points
+in shared array passes; `spectrum` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +74,21 @@ __all__ = [
     "spectral_fingerprint",
 ]
 
-#: scan step in u = k*l for the positive-level bracketing grid
-_SCAN_STEP = math.pi / 16.0
 #: relative tolerance handed to the bracketing refinements
 _ROOT_RTOL = 4 * np.finfo(float).eps
-#: an extremum of the condition counts as an even-order (double) root when
-#: its residual is below this times the local residual scale
-_TOUCH_TOL = 1e-10
-#: smallest u = k*l treated as a genuine positive level
-_U_FLOOR = 1e-9
+#: levels are counted from this u = k*l (v = kappa*l) up
+_FLOOR = 1e-9 * (1.0 + 1e-6)
 #: positive roots below this u are the numerical shadow of a zero mode and
 #: are dropped from assembled spectra when the zero-mode flag is set
 _ZERO_SHADOW_U = 1e-3
+#: |cos xi + Re alpha| at or below this is an exact Dirichlet direction of U
+_C2_SNAP = 1e-12
+#: the count beside the Dirichlet energy u = n pi is read at n pi (1 -+ _GAP)
+_GAP = 1e-13
+#: two states closer than this, relative, are one double level
+_DOUBLE_RTOL = 1e-7
+#: a refined root must have the count pass its state within this, relative
+_CHECK_RTOL = 1e-12
 
 ZERO_MODE_TOL = 1e-9
 
@@ -103,8 +131,8 @@ class Level:
     """One energy level.
 
     parameter is k for the positive sector, kappa for the negative sector and
-    None for the zero mode.  multiplicity is 2 exactly when the level
-    condition has an even-order zero there.
+    None for the zero mode.  multiplicity is the number of states at the
+    level, 2 where the boundary pencil vanishes in both directions.
     """
 
     sector: str
@@ -128,11 +156,13 @@ def _fingerprint_coeffs(p: U2Params):
     """(sin xi, c1, c2, Im beta) with c1 = cos xi - Re alpha, c2 = cos xi + Re alpha.
 
     Built strictly from the fingerprint (xi, Re alpha, Im beta) so that equal
-    fingerprints give bitwise-equal conditions.
+    fingerprints give bitwise-equal conditions.  c2 within _C2_SNAP of 0 is
+    0, so that the level conditions and the count describe the same point.
     """
     s, c = math.sin(p.xi), math.cos(p.xi)
     a_r = p.alpha.real
-    return s, c - a_r, c + a_r, p.beta.imag
+    c2 = c + a_r
+    return s, c - a_r, 0.0 if abs(c2) <= _C2_SNAP else c2, p.beta.imag
 
 
 def positive_condition(p: U2Params, g: BoxGeometry, k):
@@ -188,51 +218,71 @@ def _pos_resid_deriv(u, lam, s, c1, c2, b_i):
     )
 
 
-def _pos_resid_deriv2(u, lam, s, c1, c2, b_i):
-    ul = u * lam
-    return (2.0 * c2 * lam**2 - 4.0 * lam * s - (c1 + c2 * ul**2)) * np.sin(u) + (
-        4.0 * c2 * lam * ul - 2.0 * ul * s
-    ) * np.cos(u)
-
-
 def _neg_resid_scaled(v, lam, s, c1, c2, b_i):
     """2 exp(-v) times the negative-level residual; same roots, no overflow."""
     vl = v * lam
     em = np.exp(-v)
-    em2 = em * em
-    return 4.0 * vl * b_i * em + 2.0 * vl * s * (1.0 + em2) + (c1 - c2 * vl**2) * (1.0 - em2)
+    return 4.0 * vl * b_i * em + 2.0 * vl * s * (1.0 + em * em) - (c1 - c2 * vl**2) * np.expm1(-2.0 * v)
 
 
 def _neg_resid_scaled_deriv(v, lam, s, c1, c2, b_i):
-    vl = v * lam
-    em = np.exp(-v)
+    vl, em = v * lam, np.exp(-v)
     em2 = em * em
-    return (
-        4.0 * lam * b_i * em * (1.0 - v)
-        + 2.0 * lam * s * (1.0 + em2)
-        - 4.0 * vl * s * em2
-        - 2.0 * c2 * lam * vl * (1.0 - em2)
-        + (c1 - c2 * vl**2) * 2.0 * em2
-    )
-
-
-def _neg_resid_scaled_deriv2(v, lam, s, c1, c2, b_i):
-    vl = v * lam
-    em = np.exp(-v)
-    em2 = em * em
-    return (
-        4.0 * lam * b_i * em * (v - 2.0)
-        - 2.0 * c2 * lam**2 * (1.0 - em2)
-        + (8.0 * s * (vl - lam) - 8.0 * c2 * lam * vl - 4.0 * (c1 - c2 * vl**2)) * em2
-    )
+    return (4.0 * lam * b_i * em * (1.0 - v) + 2.0 * lam * s * (1.0 + em2) - 4.0 * vl * s * em2
+            + 2.0 * c2 * lam * vl * np.expm1(-2.0 * v) + 2.0 * (c1 - c2 * vl**2) * em2)
 
 
 # ---------------------------------------------------------------------------
-# batched root finding: many segments of many points in one array pass
+# the level count: positive eigenvalues of the boundary pencil
 # ---------------------------------------------------------------------------
 
-#: refinement steps before a bracket counts as stuck; Brent's halving rule
-#: closes any bracket of the grids in about a hundred
+
+def _pencil_positive(t, lam, s, c1, c2, b_i):
+    """(floor t, w R, w T) at E = (t pi / l)^2, with w = tan((t - floor t) pi / 2).
+
+    w a = u w^2 and w b = -u in an even cell; an odd one swaps them.
+    """
+    n = np.floor(t)
+    w = np.tan(0.5 * np.pi * (t - n))
+    lu = lam * np.pi * t
+    sb = np.where(n % 2.0 == 1.0, -b_i, b_i)
+    R = lu * ((s - sb) * w * w - (s + sb)) - (c1 + c2 * lu * lu) * w
+    return n, R, 2.0 * s * w + c2 * lu * (w * w - 1.0)
+
+
+def _pencil_negative(v, lam, s, c1, c2, b_i):
+    """(0, R, T) at E = -(v / l)^2, v > 0."""
+    th = np.tanh(0.5 * v)
+    a, b = -v * th, -v / th
+    R = lam * ((s - b_i) * a + (s + b_i) * b) - c1 + c2 * (lam * v) ** 2
+    return 0.0, R, 2.0 * s + c2 * lam * (a + b)
+
+
+#: (pencil, direction, residual variable per unit x, residual, its slope).
+#: Positive x is t = u / pi, and floor t + n+ states lie below it; negative x
+#: is v, and n+ states lie deeper, so -n+ is the count that rises with x
+_POSITIVE = (_pencil_positive, 1, math.pi, _pos_resid, _pos_resid_deriv)
+_NEGATIVE = (_pencil_negative, -1, 1.0, _neg_resid_scaled, _neg_resid_scaled_deriv)
+
+
+def _count(sector, x, P):
+    """The sector's count at x: it rises with x and passes j + 1 at state j.
+
+    n+ follows from det(c2 M) = c2 R and tr(c2 M) = T; with c2 = 0 the
+    Dirichlet direction drops out and R s is the one eigenvalue left.
+    """
+    base, R, T = sector[0](x, *P)
+    s, c2 = P[1], P[3]
+    n = np.where(c2 * R < 0.0, 1, np.where(c2 * T > 0.0, 1 + (c2 * R > 0.0), 0))
+    return base + sector[1] * np.where(c2 == 0.0, R * s > 0.0, n)
+
+
+# ---------------------------------------------------------------------------
+# batched root finding: many states of many points in one array pass
+# ---------------------------------------------------------------------------
+
+#: refinement and bisection steps before a bracket counts as stuck; both at
+#: least halve a bracket at every step
 _MAX_STEPS = 200
 
 
@@ -242,29 +292,34 @@ def _coeffs(points, g: BoxGeometry):
     return np.array(rows, dtype=float).reshape(-1, 5).T
 
 
+def _mid(a, b):
+    """The middle of 0 < a < b, geometric while b > 4 a: a window over decades closes fast."""
+    return np.where(b > 4.0 * a, np.sqrt(a * b), 0.5 * (a + b))
+
+
 def _refine(f, df, a, b, fa, fb, P):
     """The root of f in each bracket [a, b] whose ends fa, fb differ in sign.
 
     Bracketed Newton on every bracket at once.  Each step evaluates f at the
-    iterate x and at x -+ tol, tol = 1e-15 + _ROOT_RTOL |x|, and keeps the
-    tightest sign-change bracket among those points and the old ends; the
-    probes step over the residual's rounding noise, which would stall plain
-    Newton.  A bracket at most 2 tol wide is done, and its end with the
-    smaller |f| is the root.  The first iterate is the secant point of the
-    bracket, and the next is the Newton step from x; the secant point of the
-    new bracket replaces a Newton step that leaves it, and its midpoint is
-    taken when the bracket has not halved in two steps (Brent's rule), so
-    that every bracket closes.  P holds each bracket's residual parameters.
+    iterate x, at x -+ tol, tol = 1e-15 + _ROOT_RTOL |x|, and at the `_mid`
+    point of the bracket, and keeps the tightest sign-change bracket among
+    them and the old ends: the probes step over the residual's rounding
+    noise, and the middle at least halves the bracket at every step.  A
+    bracket at most 2 tol wide is done, and its end with the smaller |f| is
+    the root.  Each iterate is the Newton step from the last, or the secant
+    point of the bracket where that step leaves it (or on the first step);
+    a bracket over decades starts from its arithmetic middle instead.  P
+    holds each bracket's residual parameters.
     """
     m = len(a)
     out = np.empty(m)
     # rows 0-4: a, x - tol, x, x + tol, b; rows 5-9: f at those points; the
-    # bracket width one and two steps back, the output slot, then the
-    # residual parameters; finished columns are dropped after each probe
+    # bracket's middle and f there, the output slot, then the residual
+    # parameters; finished columns are dropped after each probe
     s = np.empty((13 + len(P), m))
     s[0], s[4], s[5], s[9] = a, b, fa, fb
-    s[2] = a - fa * (b - a) / (fb - fa)
-    s[10], s[11], s[12], s[13:] = b - a, np.inf, np.arange(m), P
+    s[2] = np.where(b > 4.0 * a, 0.5 * (a + b), a - fa * (b - a) / (fb - fa))
+    s[12], s[13:] = np.arange(m), P
     cols, P = np.arange(m), tuple(s[13:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
@@ -272,9 +327,14 @@ def _refine(f, df, a, b, fa, fb, P):
             tol = _ROOT_RTOL * np.abs(x) + 1e-15
             np.maximum(x - tol, s[0], out=s[1])
             np.minimum(x + tol, s[4], out=s[3])
-            s[6:9] = f(s[1:4], *P)
+            s[10] = _mid(s[0], s[4])
+            s[_PROBES] = f(s[_AT], *P)
             width = np.where(s[5:9] * s[6:10] <= 0.0, s[1:5] - s[:4], np.inf)
             s[_ENDS] = s[width.argmin(axis=0) + _PICK, cols]
+            # the old bracket's middle replaces an end of the new one it falls in
+            k = np.flatnonzero((s[10] > s[0]) & (s[10] < s[4]))
+            end = np.where(s[5, k] * s[11, k] <= 0.0, 4, 0)
+            s[end, k], s[end + 5, k] = s[10, k], s[11, k]
             a, b, fa, fb = s[0], s[4], s[5], s[9]
             w = b - a
             done = w <= 2.0 * tol
@@ -287,22 +347,16 @@ def _refine(f, df, a, b, fa, fb, P):
                 a, b, fa, fb = s[0], s[4], s[5], s[9]
             x = s[2]
             xn = x - s[7] / df(x, *P)
-            xn = np.where((xn > a) & (xn < b), xn, a - fa * w / (fb - fa))
-            s[2] = np.where(w > 0.5 * s[11], 0.5 * (a + b), xn)
-            s[11] = s[10]
-            s[10] = w
+            s[2] = np.where((xn > a) & (xn < b), xn, a - fa * w / (fb - fa))
     raise ContradictionError("root refinement failed to converge")
 
 
 #: rows of _refine's state that hold a, b, f(a), f(b), and their offsets
-#: from the left end of the chosen sign-change interval
+#: from the left end of the chosen sign-change interval; the rows that f is
+#: evaluated at each step, and where its values go
 _ENDS = [0, 4, 5, 9]
 _PICK = np.array([[0], [1], [5], [6]])
-
-
-#: the crossing search probes 31 grid points of a piece per step, at these
-#: thirtieths of the way across it
-_SPREAD = np.arange(31)
+_AT, _PROBES = [1, 2, 3, 10], [6, 7, 8, 11]
 
 
 def _rows(start, stop, n):
@@ -313,126 +367,102 @@ def _rows(start, stop, n):
     return row
 
 
-def _scan_segments(f, df, d2f, start, stop, num, P):
-    """All roots of f on the grids linspace(start[i], stop[i], num[i]), with multiplicities.
+def _bisect(key, lo, hi, klo, khi, j, P, isolate):
+    """Narrow each bracket [lo, hi] around the step of key(x, P) past j.
 
-    P holds each segment's residual parameters, one column per segment.
-    Breakpoints are the refined local extrema (sign changes of df on the
-    grid); every monotone piece is then bisected on a sign change, so no
-    simple root separated from its neighbours by more than the grid step can
-    be missed.  An extremum whose residual is below _TOUCH_TOL * scale while
-    the flanking values share a sign is an even-order zero and is recorded
-    with multiplicity 2; an extremum whose central value crosses instead
-    hides a close pair of simple roots, which are both recovered.
-
-    Returns (roots, multiplicities, segments), ordered by segment, then root.
+    key rises with x, and klo = key(lo) <= j < key(hi) = khi throughout.  A
+    bracket is done at _ROOT_RTOL wide, or with isolate once it holds a
+    single step of key or is _DOUBLE_RTOL wide.  Returns lo, hi, klo, khi.
     """
-    # segments of one length form a 2-d grid whose rows broadcast against
-    # their parameters, and a run of equal grids (every dense negative
-    # window) is built and evaluated as one row; x holds all grids end to
-    # end, in order of length.  A cell over which df changes sign strictly
-    # brackets an extremum
-    order = np.argsort(num, kind="stable")
-    start, stop, num, P = start[order], stop[order], num[order], P[:, order]
-    offset = np.concatenate([[0], np.cumsum(num)])
-    first, last = offset[:-1], offset[1:] - 1
-    x = np.empty(offset[-1])
-    cells, dl, dr = [], [], []
-    runs = [0, *(np.flatnonzero(num[1:] != num[:-1]) + 1), len(num)]
-    for r0, r1 in zip(runs[:-1], runs[1:]):
-        n, lo, hi = num[r0], start[r0:r1], stop[r0:r1]
-        if (lo == lo[0]).all() and (hi == hi[0]).all():
-            lo, hi = lo[:1], hi[:1]
-        row = _rows(lo, hi, n)
-        x[offset[r0] : offset[r1]].reshape(r1 - r0, n)[:] = row
-        d = df(row, *P[:, r0:r1, None])
-        up, down = d > 0.0, d < 0.0
-        r, c = np.nonzero((up[:, :-1] & down[:, 1:]) | (down[:, :-1] & up[:, 1:]))
-        cells.append(offset[r0] + r * n + c)
-        dl.append(d[r, c])
-        dr.append(d[r, c + 1])
-    i = np.concatenate(cells)
-    iseg = np.searchsorted(offset, i, side="right") - 1
-    Pi = P[:, iseg]
-    extrema = x[:0]
+    lo, hi, klo, khi = lo.copy(), hi.copy(), klo.copy(), khi.copy()
+    todo = np.arange(len(lo))
+    for _ in range(_MAX_STEPS):
+        a, b = lo[todo], hi[todo]
+        done = b - a <= (_DOUBLE_RTOL if isolate else _ROOT_RTOL) * b
+        if isolate:
+            done |= khi[todo] - klo[todo] == 1
+        todo, a, b = todo[~done], a[~done], b[~done]
+        if not len(todo):
+            return lo, hi, klo, khi
+        x = _mid(a, b)
+        k = key(x, P[:, todo])
+        up = k > j[todo]
+        hi[todo[up]], khi[todo[up]] = x[up], k[up]
+        lo[todo[~up]], klo[todo[~up]] = x[~up], k[~up]
+    raise ContradictionError("level bisection failed to converge")
+
+
+def _solve(sector, lo, hi, klo, khi, j, P):
+    """(root, multiplicity) of state j of the sector in each bracket [lo, hi] of x.
+
+    klo = count(lo) <= j < count(hi) = khi.  The state is isolated on the
+    count, then refined on the residual where that changes sign across the
+    bracket; a refined root at which the count does not pass j is rounding
+    noise of the residual, and such a state is bisected on the count
+    instead.  A bracket that cannot be split holds a double level, placed
+    where the trace changes sign and returned for both its states.  Roots
+    are in the residual's variable, scale * x.
+    """
+    pencil, sign, scale, f, df = sector
+    count = lambda x, Q: _count(sector, x, Q)
+    lo, hi, klo, khi = _bisect(count, lo, hi, klo, khi, j, P, isolate=True)
+    root = np.empty(len(lo))
+    single = khi - klo == 1
+    fa, fb = f(scale * np.stack([lo, hi]), *P)
+    refined = single & (fa * fb < 0.0)
+    i = np.flatnonzero(refined)
     if len(i):
-        extrema = _refine(df, d2f, x[i], x[i + 1], np.concatenate(dl), np.concatenate(dr), Pi)
-
-    # breakpoints: each segment's ends and extrema, sorted, without repeats;
-    # a value that is both an end and an extremum counts as an extremum.
-    # lo and hi are the first and last grid index inside [break, next break]
-    bx = np.concatenate([x[first], x[last], extrema])
-    bseg = np.concatenate([np.arange(len(num)), np.arange(len(num)), iseg])
-    lo = np.concatenate([first, last, i + 1])
-    hi = np.concatenate([first, last, i])
-    bext = np.arange(len(bx)) >= 2 * len(num)
-    keep = np.lexsort((~bext, bx, bseg))
-    new = np.ones(len(keep), dtype=bool)
-    new[1:] = (np.diff(bx[keep]) != 0.0) | (np.diff(bseg[keep]) != 0)
-    keep = keep[new]
-    bx, bseg, bext, lo, hi = bx[keep], bseg[keep], bext[keep], lo[keep], hi[keep]
-    fb = f(bx, *P[:, bseg])
-    same = bseg[1:] == bseg[:-1]  # breakpoints j and j + 1 bound a piece
-
-    # even-order zeros: an extremum that touches zero while its flanking
-    # breakpoint values share a sign; the adjacent monotone pieces are then
-    # consumed so that residual noise at the touch cannot double-count
-    j = np.flatnonzero(same[:-1] & same[1:] & bext[1:-1]) + 1
-    scale = _TOUCH_TOL * np.maximum(1.0, (bx[j] * P[0, bseg[j]]) ** 2)
-    touch = j[(fb[j - 1] * fb[j + 1] > 0.0) & (np.abs(fb[j]) <= scale)]
-    free = np.ones(len(bx), dtype=bool)
-    free[touch] = False
-
-    # simple crossings on the monotone pieces (close pairs around a
-    # non-touching extremum land in two adjacent pieces and are both found);
-    # a piece starting exactly on a root reports it, unless it opens a segment
-    j = np.flatnonzero(same & free[:-1] & free[1:])
-    hit = j[(fb[j] == 0.0) & (j > 0) & same[j - 1]]
-    cross = j[fb[j] * fb[j + 1] < 0.0]
-
-    # a piece can span many grid cells, where Newton converges slowly; a
-    # search over the grid points inside it (index lo - 1 standing for its
-    # left break, hi + 1 for its right one) narrows it to one cell on which
-    # f changes sign, so each piece still yields exactly one root.  Each
-    # step evaluates f at up to len(_SPREAD) points spread evenly over the
-    # open range and keeps the cell before the first one past the sign change
-    roots = x[:0]
-    if len(cross):
-        L, H = lo[cross] - 1, hi[cross + 1] + 1
-        fl, fh = fb[cross], fb[cross + 1]
-        Pc = P[:, bseg[cross]]
-        k = np.flatnonzero(H - L > 1)
-        while len(k):
-            M = L[k, None] + 1 + (H[k] - L[k] - 2)[:, None] * _SPREAD // _SPREAD[-1]
-            fm = f(x[M], *Pc[:, k, None])
-            flip = fm * fl[k, None] <= 0.0
-            j = np.where(flip.any(axis=1), flip.argmax(axis=1), len(_SPREAD))
-            r = np.arange(len(k))
-            up, down = j < len(_SPREAD), j > 0
-            H[k[up]], fh[k[up]] = M[r[up], j[up]], fm[r[up], j[up]]
-            L[k[down]], fl[k[down]] = M[r[down], j[down] - 1], fm[r[down], j[down] - 1]
-            k = k[H[k] - L[k] > 1]
-        a = np.where(L < lo[cross], bx[cross], x[np.maximum(L, 0)])
-        b = np.where(H > hi[cross + 1], bx[cross + 1], x[np.minimum(H, len(x) - 1)])
-        roots = _refine(f, df, a, b, fl, fh, Pc)
-
-    rx = np.concatenate([bx[touch], bx[hit], roots])
-    rm = np.repeat([2, 1], [len(touch), len(hit) + len(cross)])
-    rseg = order[np.concatenate([bseg[touch], bseg[hit], bseg[cross]])]
-    out = np.lexsort((rm, rx, rseg))
-    return rx[out], rm[out], rseg[out]
+        root[i] = _refine(f, df, scale * lo[i], scale * hi[i], fa[i], fb[i], P[:, i])
+        below, above = count(root[i] / scale * np.array([[1.0 - _CHECK_RTOL], [1.0 + _CHECK_RTOL]]), P[:, i])
+        refined[i] = (below <= j[i]) & (above > j[i])
+    i = np.flatnonzero(single & ~refined)
+    if len(i):
+        a, b, _, _ = _bisect(count, lo[i], hi[i], klo[i], khi[i], j[i], P[:, i], isolate=False)
+        root[i] = scale * 0.5 * (a + b)
+    i = np.flatnonzero(~single)
+    if len(i):
+        # sign * [c2 T > 0] steps from (sign - 1) / 2 up by one at a double level
+        trace = lambda x, Q: sign * (Q[3] * pencil(x, *Q)[2] > 0.0)
+        lo, hi, Q = lo[i], hi[i], P[:, i]
+        tlo, thi = trace(np.stack([lo, hi]), Q)
+        a, b, _, _ = _bisect(trace, lo, hi, tlo, thi, np.full(len(i), (sign - 1) // 2), Q, isolate=False)
+        root[i] = scale * 0.5 * (a + b)
+    return root, np.where(single, 1, 2)
 
 
-def _positive_roots(P, k_max, l):
-    """(k, multiplicity) of every positive level in (0, k_max[i]] of each point."""
-    u_max = k_max * l
-    n = np.maximum(2, np.ceil((u_max - _U_FLOOR) / _SCAN_STEP).astype(int) + 1)
-    floor = np.full(len(n), _U_FLOOR)
-    u, m, seg = _scan_segments(_pos_resid, _pos_resid_deriv, _pos_resid_deriv2, floor, u_max, n, P)
-    keep = u > _U_FLOOR * (1.0 + 1e-6)
-    roots = list(zip((u[keep] / l).tolist(), m[keep].tolist()))
-    cuts = np.searchsorted(seg[keep], np.arange(1, len(n))).tolist()
-    return [roots[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(roots)])]
+def _states(sector, x, C, P):
+    """[(root, multiplicity)] of each point's levels between its breakpoints x[i] (counts C[i]).
+
+    Intervals of odd k straddle the Dirichlet energy u = (k + 1) pi / 2 (the
+    positive sector has them), and a step of the count there is a level at
+    exactly that u; the states of the others are solved.
+    """
+    n = np.maximum(np.diff(C, axis=1), 0)
+    idx = np.repeat(np.arange(n.size), n.ravel())
+    pt, k = np.divmod(idx, n.shape[1])
+    rank = np.arange(len(idx)) - np.searchsorted(idx, idx)
+    root, mult, cell = (k + 1) // 2 * math.pi, n[pt, k], k % 2 == 0
+    p, k = pt[cell], k[cell]
+    root[cell], mult[cell] = _solve(sector, x[p, k], x[p, k + 1], C[p, k], C[p, k + 1], C[p, k] + rank[cell], P[:, p])
+    keep = (rank == 0) | (cell & (mult == 1))
+    pairs = list(zip(root[keep].tolist(), mult[keep].tolist()))
+    cuts = np.searchsorted(pt[keep], np.arange(1, len(C))).tolist()
+    return [pairs[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(pairs)])]
+
+
+def _positive_states(P, K):
+    """(u, multiplicity) of the levels of each point's K[i] lowest states above _FLOOR.
+
+    The count is read beside every Dirichlet energy up to the one past the
+    K-th state.  Whole intervals are taken, so a few more states may come
+    back, and a double level is never cut in two.
+    """
+    m = np.arange(1.0, K.max(initial=0) + 3.0)
+    x = np.concatenate([[_FLOOR / math.pi], np.column_stack([m * (1.0 - _GAP), m * (1.0 + _GAP)]).ravel()])
+    C = _count(_POSITIVE, x, P[:, :, None]).astype(int)
+    # no interval that starts past the K-th state
+    C = np.minimum(C, np.where(C - C[:, :1] >= K[:, None], C, C.max(initial=0)).min(axis=1, keepdims=True))
+    return _states(_POSITIVE, np.broadcast_to(x, C.shape), C, P)
 
 
 def _negative_ceilings(P):
@@ -451,40 +481,9 @@ def _negative_ceilings(P):
 
 
 def _negative_roots(P, l):
-    """(kappa, multiplicity) of every negative level of each point, at most two."""
-    starts, stops, nums, owner = [], [], [], []
-    for i, v_max in enumerate(_negative_ceilings(P).tolist()):
-        start = min(12.0, v_max)
-        starts.append(_U_FLOOR), stops.append(start), nums.append(768), owner.append(i)
-        while start < v_max * (1.0 - 1e-12):
-            stop = min(2.0 * start, v_max)
-            starts.append(start), stops.append(stop), nums.append(257), owner.append(i)
-            start = stop
-    owner = np.array(owner, dtype=int)
-    v, m, seg = _scan_segments(
-        _neg_resid_scaled, _neg_resid_scaled_deriv, _neg_resid_scaled_deriv2,
-        np.array(starts), np.array(stops), np.array(nums), P[:, owner],
-    )
-    roots = [[] for _ in range(P.shape[1])]
-    for root, mult, i in zip(v.tolist(), m.tolist(), owner[seg].tolist()):
-        if mult == 2:
-            warnings.warn(
-                f"tangential negative-level root at kappa*l = {root!r}; "
-                "even-order bound-state zeros deserve manual review",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if root <= _U_FLOOR * (1.0 + 1e-6):
-            continue
-        if roots[i] and abs(root - roots[i][-1][0]) <= 1e-12 * max(1.0, root):
-            continue  # same root straddling a segment boundary
-        roots[i].append((root, mult))
-    for r in roots:
-        total = sum(m for _, m in r)
-        if total > 2:
-            raise ContradictionError(
-                f"{total} negative-level roots found; the structural bound is two"
-            )
+    """(kappa, multiplicity) of every negative level of each point within its window."""
+    x = np.stack([np.full(P.shape[1], _FLOOR), _negative_ceilings(P)], axis=1)
+    roots = _states(_NEGATIVE, x, _count(_NEGATIVE, x, P[:, :, None]).astype(int), P)
     return [[(v / l, m) for v, m in r] for r in roots]
 
 
@@ -496,32 +495,33 @@ def _negative_roots(P, l):
 def find_positive_roots(p: U2Params, g: BoxGeometry, k_max: float):
     """All positive-level momenta in (0, k_max] as (k, multiplicity) pairs.
 
-    Multiplicity 2 marks an even-order zero of the condition (a doubly
-    degenerate level, as happens on the scale-invariant sphere at
-    Im beta = +-1).
+    Multiplicity 2 marks a doubly degenerate level, as on the scale-invariant
+    sphere at Im beta = +-1.
     """
     if not k_max > 0.0:
         raise ConstraintError("k_max must be positive")
-    return _positive_roots(_coeffs((p,), g), np.array([float(k_max)]), g.l)[0]
+    P = _coeffs((p,), g)
+    u_max = float(k_max) * g.l
+    lo, hi = _count(_POSITIVE, np.array([_FLOOR, u_max]) / math.pi, P[:, 0])
+    roots = _positive_states(P, np.array([max(0, int(hi - lo))]))[0]
+    return [(u / g.l, m) for u, m in roots if u <= u_max]
 
 
 def negative_search_ceiling(p: U2Params, g: BoxGeometry):
-    """Dimensionless window [0, v_max] certain to contain every negative root.
+    """Dimensionless window [0, v_max] searched for negative roots.
 
     Starts from max(10, 4/lam, 4*lam) and keeps doubling until the scaled
-    residual holds one sign across a full doubling, past which the hyperbolic
-    envelope is monotone.
+    residual holds one sign across a full doubling.  This is a heuristic,
+    not a bound: a bound state can lie beyond it.
     """
     return float(_negative_ceilings(_coeffs((p,), g))[0])
 
 
 def find_negative_roots(p: U2Params, g: BoxGeometry):
-    """Negative-level decay rates as (kappa, multiplicity) pairs, at most two.
+    """Negative-level decay rates in the search window as (kappa, multiplicity) pairs.
 
-    Raises ContradictionError when more than two are detected, which would
-    contradict the structural bound on bound states and signals a bug.  A
-    tangential (even-order) negative root is reported with multiplicity 2 and
-    flagged with a RuntimeWarning for manual review.
+    At most two: they are counted from the boundary pencil, whose
+    eigenvalues bound them.
     """
     return _negative_roots(_coeffs((p,), g), g.l)[0]
 
@@ -534,9 +534,8 @@ def spectral_fingerprint(p: U2Params):
 def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     """`spectrum(p, g, n_levels)` of every point, solved as one batch.
 
-    The root search of all points runs in shared array passes, and the
-    positive-sector enlargement of k_max re-runs only for the points still
-    short of levels; each point's result is the same as when it is alone.
+    The level counts and root refinements of all points run in shared array
+    passes; each point's result is the same as when it is alone.
     """
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")
@@ -546,7 +545,7 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     P = _coeffs(points, g)
     esc = g.hbar**2 / (2.0 * g.mass)
     has_zero = [zero_mode_exists(p, g) for p in points]
-    levels, n_pos, k_max = [], [], []
+    levels, n_pos = [], []
     for zero, neg in zip(has_zero, _negative_roots(P, g.l)):
         lv = [Level(SECTOR_NEGATIVE, kappa, -esc * kappa**2, mult)
               for kappa, mult in sorted(neg, reverse=True)]
@@ -554,39 +553,37 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
             lv.append(Level(SECTOR_ZERO, None, 0.0, 1))
         levels.append(lv)
         n_pos.append(max(0, n_levels - len(lv)))
-        k_max.append((n_pos[-1] + 2) * math.pi / g.l * 1.25)
 
-    pos = [None] * len(points)
-    todo = list(range(len(points)))
-    for _ in range(40):
-        found = _positive_roots(P[:, todo], np.array([k_max[i] for i in todo]), g.l)
-        short = []
-        for i, roots in zip(todo, found):
-            if has_zero[i]:
-                roots = [(k, m) for k, m in roots if k * g.l >= _ZERO_SHADOW_U]
-            pos[i] = roots
-            if len(roots) < n_pos[i]:
-                k_max[i] *= 1.6
-                short.append(i)
-        todo = short
-        if not todo:
+    # n + 2 states hold n levels unless doubles merged some; 2 n + 2 always do
+    want, pos = np.array(n_pos), [[] for _ in points]
+    todo = np.flatnonzero(want > 0)
+    for K in (want + 2, 2 * want + 2):
+        if not len(todo):
             break
-    else:
+        for i, roots in zip(todo, _positive_states(P[:, todo], K[todo])):
+            pos[i] = [(u / g.l, m) for u, m in roots if not has_zero[i] or u >= _ZERO_SHADOW_U]
+        todo = np.array([i for i in todo if len(pos[i]) < want[i]], dtype=int)
+    if len(todo):
         raise ContradictionError("positive-level search failed to fill the request")
 
     out = []
-    for lv, roots, k_top in zip(levels, pos, k_max):
-        lv += [Level(SECTOR_POSITIVE, k, esc * k**2, mult) for k, mult in roots]
+    for lv, roots, n in zip(levels, pos, n_pos):
+        # the cutoff an enlarging search would have stopped at: it starts
+        # at n + 2 Dirichlet levels and grows by 1.6 until it holds n levels
+        k_max = (n + 2) * math.pi / g.l * 1.25
+        while n and roots[n - 1][0] > k_max:
+            k_max *= 1.6
+        lv += [Level(SECTOR_POSITIVE, k, esc * k**2, mult) for k, mult in roots[:n]]
         lv.sort(key=lambda level: level.energy)
-        out.append(Spectrum(levels=tuple(lv[:n_levels]), k_max=k_top))
+        out.append(Spectrum(levels=tuple(lv[:n_levels]), k_max=k_max))
     return out
 
 
 def spectrum(p: U2Params, g: BoxGeometry, n_levels: int) -> Spectrum:
     """The n_levels lowest levels: negative, then zero if present, then positive.
 
-    The positive-sector cutoff k_max is raised adaptively until enough levels
-    are found.  When a zero mode is present, positive roots with k*l below
-    1e-3 are treated as its numerical shadow and dropped.
+    k_max is the momentum cutoff that holds the positive levels listed.
+    When a zero mode is present, positive roots with k*l below 1e-3 are
+    treated as its numerical shadow and dropped.
     """
     return spectra((p,), g, n_levels)[0]

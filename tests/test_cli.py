@@ -1,6 +1,10 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,19 @@ class TestSpectrumCommand:
         doc = json.loads(text)
         energies = [lv["energy"] for lv in doc["levels"]]
         assert np.allclose(energies, [math.pi**2, 4 * math.pi**2, 9 * math.pi**2], rtol=1e-12)
+
+    def test_tiny_L0_returns(self):
+        # the search is sized by the level count, not by a k_max grid, so a
+        # tiny but valid L0 returns at once; a separate process bounds a hang
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "pointspec.cli", "spectrum", "--L0=1e-100", "--levels", "3"],
+            capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0
+        levels = json.loads(done.stdout)["levels"]
+        assert [lv["sector"] for lv in levels] == ["zero", "positive", "positive"]
+        assert [lv["parameter"] for lv in levels[1:]] == pytest.approx([math.pi, 2 * math.pi], rel=1e-12)
 
     def test_round_trip_point(self, tmp_path):
         code, text = run(
@@ -123,8 +140,7 @@ class TestEigenstateCommand:
         values = {"xi": xi, "alpha-re": alpha.real, "alpha-im": alpha.imag,
                   "beta-re": beta.real, "beta-im": beta.imag}
         args = [f"--{k}={float(v)!r}" for k, v in values.items()]
-        with pytest.warns(RuntimeWarning, match="tangential"):
-            code, text = run(tmp_path, "eigenstate", *args, "--levels", "2")
+        code, text = run(tmp_path, "eigenstate", *args, "--levels", "2")
         assert code == 0
         level = json.loads(text)["levels"][0]
         assert level["sector"] == "negative" and level["multiplicity"] == 2

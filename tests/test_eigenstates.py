@@ -1,7 +1,6 @@
 import cmath
 import math
 import warnings
-from contextlib import nullcontext
 from dataclasses import replace
 
 import mpmath as mp
@@ -295,10 +294,8 @@ class TestEigenbasisReference:
 
     @pytest.mark.parametrize("name, p, g, n", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
     def test_matches_per_level_route(self, name, p, g, n):
-        tangential = name == "degenerate-negative"
-        with pytest.warns(RuntimeWarning, match="tangential") if tangential else nullcontext():
-            basis = eigenbasis(p, g, n)
-            levels = spectrum(p, g, n).levels
+        basis = eigenbasis(p, g, n)
+        levels = spectrum(p, g, n).levels
         assert [lv for lv, _ in basis] == list(levels)
         for lv, modes in basis:
             ref_basis, ref = _ref_modes(p, g, lv.sector, lv.parameter)
@@ -332,8 +329,6 @@ class TestEigenbasisFiniteOrRaise:
     def test_finite_or_raise(self, name, p, g):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # the root finder's flag for an even-order root is not the modes' to raise
-            warnings.filterwarnings("ignore", "tangential", RuntimeWarning)
             try:
                 basis = eigenbasis(p, g, 8)
             except OverflowError:
