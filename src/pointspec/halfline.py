@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfcx
 
 from .errors import ConstraintError
 from .kernels import halfline_image_kernel, tau_value
@@ -156,6 +154,8 @@ def robin_heat_kernel(
 
     with c = hbar tau / (2m), g = sqrt(c)/L, s = (a+b)/(2 sqrt(c)).
     """
+    from scipy.special import erfcx
+
     t = tau_value(tau)
     if a < 0.0 or b < 0.0:
         raise ConstraintError("half-line positions must be non-negative")
@@ -195,6 +195,8 @@ def spectral_kernel_by_quadrature(
     (0, k_max) by adaptive quadrature, with k_max set by the Gaussian tail,
     and adds the bound-state term when the wall has one.
     """
+    from scipy.integrate import quad
+
     t = tau_value(tau)
     c = hbar * t / (2.0 * mass)
     k_max = math.sqrt(40.0 / c)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .eigenstates import ScaleInvariantCoefficients, scale_invariant_coefficients
 from .errors import ConstraintError, SubfamilyError, TailBoundError
@@ -61,6 +60,8 @@ __all__ = [
 
 _DIRECT = "direct"
 _MIRROR = "mirror"
+#: image and level counts above this are refused as unreachable tail targets
+_MAX_TERMS = 100000
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def spectral_heat_kernel(
     a, b = _check_positions(g, a, b)
     k_top = max((lv.parameter for lv, _ in basis if lv.sector == SECTOR_POSITIVE), default=0.0)
     c = g.hbar * t / (2.0 * g.mass)
-    if k_top <= 0.0 or 8.0 * erfc(k_top * math.sqrt(c)) > tol:
+    if k_top <= 0.0 or 8.0 * math.erfc(k_top * math.sqrt(c)) > tol:
         raise TailBoundError(
             f"a basis of {len(basis)} levels leaves a spectral tail above {tol}"
         )
@@ -174,14 +175,20 @@ def spectral_heat_kernel(
 
 
 def spectral_levels_needed(p: U2Params, g: BoxGeometry, tau, tol: float = 1e-12) -> int:
-    """Smallest level count whose spectral tail is below `tol`."""
+    """Smallest level count whose spectral tail is below `tol`.
+
+    Raises TailBoundError when that count passes _MAX_TERMS.
+    """
     t = tau_value(tau)
     c = g.hbar * t / (2.0 * g.mass)
     # erfc(x) < tol/8 at x ~ sqrt(log(8/tol)); convert to a momentum cutoff
     x = math.sqrt(max(1.0, math.log(8.0 / tol)))
-    k_need = (x + 1.0) / math.sqrt(c)
+    k_need = (x + 1.0) / math.sqrt(c) if c > 0.0 else math.inf
     # one level per branch per 2*pi/l of momentum, plus zero/negative slack
-    return int(math.ceil(k_need * g.l / math.pi)) + 4
+    top = k_need * g.l / math.pi
+    if not top <= _MAX_TERMS - 4:  # inf included
+        raise TailBoundError(f"spectral tail target unreachable with {_MAX_TERMS} levels")
+    return int(math.ceil(top)) + 4
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +243,7 @@ def images_needed(g: BoxGeometry, tau, tol: float = 1e-12, weight_bound: float =
     """Smallest image count whose Gaussian tail bound is below `tol`."""
     t = tau_value(tau)
     alpha = g.mass * g.l**2 / (2.0 * g.hbar * t)
-    for n in range(2, 100000):
+    for n in range(2, _MAX_TERMS):
         j = n - 1
         tail = 4.0 * weight_bound * math.exp(-alpha * j * j)
         tail /= max(1e-300, -math.expm1(-alpha * (2 * j + 1)))

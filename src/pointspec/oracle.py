@@ -15,11 +15,10 @@ the independent oracle used to validate it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import ConstraintError, ContradictionError
 from .spectral import BoxGeometry, negative_search_ceiling
@@ -48,6 +47,9 @@ class FdConfig:
 
 def _shift_invert(p: U2Params, g: BoxGeometry, n_points: int, sigma: float):
     """The reduced Hamiltonian H and the solve with H - sigma, as linear operators."""
+    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.sparse.linalg import LinearOperator
+
     h = g.l / (n_points + 1)
     t = g.hbar**2 / (2.0 * g.mass * h * h)
     U, eye2 = to_matrix(p), np.eye(2)
@@ -95,7 +97,13 @@ def _default_shift(p: U2Params, g: BoxGeometry) -> float:
     v_max = negative_search_ceiling(p, g)
     kappa_ub = v_max / g.l
     esc = g.hbar**2 / (2.0 * g.mass)
-    return -1.1 * esc * kappa_ub**2 - g.energy_scale
+    try:
+        shift = -1.1 * esc * kappa_ub**2 - g.energy_scale
+    except OverflowError:
+        shift = -math.inf
+    if not math.isfinite(shift):
+        raise ConstraintError(f"the default shift at kappa = {kappa_ub:.3g} is outside the float range")
+    return shift
 
 
 def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
@@ -105,6 +113,8 @@ def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
     levels appear as near-equal copies.  Raises ContradictionError when the
     eigensolver fails or the eigenvalues come out measurably complex.
     """
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
+
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")
     if n_levels > cfg.n_points // 4:

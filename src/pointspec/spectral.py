@@ -44,8 +44,10 @@ condition, or bisected on the count where the refined root is rounding
 noise of the condition.  Two states closer than 1e-7 relative are one
 double level, placed at the zero of T.  Bound states are sought in
 [1e-9, `negative_search_ceiling`] only, a heuristic window: deeper ones are
-left out, though the count knows them.  `spectra` solves a batch of points
-in shared array passes; `spectrum` is a batch of one.
+left out, though the count knows them; one too deep for float arithmetic
+(at L0 / l below about 1e-153) is refused with ConstraintError.  `spectra`
+solves a batch of points in shared array passes; `spectrum` is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -87,6 +89,10 @@ _C2_SNAP = 1e-12
 _GAP = 1e-13
 #: two states closer than this, relative, are one double level
 _DOUBLE_RTOL = 1e-7
+#: the largest float, and the negative window past which a bracket [a, b]
+#: in it can overflow a b
+_FLOAT_MAX = float(np.finfo(float).max)
+_WIDE_WINDOW = math.sqrt(_FLOAT_MAX / 4.0)
 #: a refined root must have the count pass its state within this, relative
 _CHECK_RTOL = 1e-12
 
@@ -481,9 +487,24 @@ def _negative_ceilings(P):
 
 
 def _negative_roots(P, l):
-    """(kappa, multiplicity) of every negative level of each point within its window."""
+    """(kappa, multiplicity) of every negative level of each point within its window.
+
+    Brackets [a, b] are split at sqrt(a b), which overflows once a b passes
+    the largest float.  Only a window wider than _WIDE_WINDOW (L0 / l below
+    about 1e-153) gets there, and in it a state deeper than
+    _FLOAT_MAX / (4 v_max) is refused with ConstraintError.
+    """
     x = np.stack([np.full(P.shape[1], _FLOOR), _negative_ceilings(P)], axis=1)
-    roots = _states(_NEGATIVE, x, _count(_NEGATIVE, x, P[:, :, None]).astype(int), P)
+    C = _count(_NEGATIVE, x, P[:, :, None]).astype(int)
+    i = np.flatnonzero(x[:, 1] > _WIDE_WINDOW)
+    if len(i):
+        v_safe = _FLOAT_MAX / (4.0 * x[i, 1])
+        deep = C[i, 1] > _count(_NEGATIVE, v_safe, P[:, i])
+        if deep.any():
+            raise ConstraintError(
+                f"L0 / l = {P[0, i[deep][0]]:.3g} has a bound state beyond kappa l = "
+                f"{v_safe[deep][0]:.3g}, outside the float range")
+    roots = _states(_NEGATIVE, x, C, P)
     return [[(v / l, m) for v, m in r] for r in roots]
 
 
@@ -531,11 +552,18 @@ def spectral_fingerprint(p: U2Params):
     return (p.xi, p.alpha.real, p.beta.imag)
 
 
+def _check_energy(esc, k):
+    """Refuse a level at momentum (or decay rate) k whose energy esc k^2 is not a float."""
+    if not esc * k * k < math.inf:
+        raise ConstraintError(f"the level at momentum {k:.3g} has an energy outside the float range")
+
+
 def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     """`spectrum(p, g, n_levels)` of every point, solved as one batch.
 
     The level counts and root refinements of all points run in shared array
-    passes; each point's result is the same as when it is alone.
+    passes; each point's result is the same as when it is alone.  A level
+    whose energy is outside the float range is a ConstraintError.
     """
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")
@@ -547,6 +575,7 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     has_zero = [zero_mode_exists(p, g) for p in points]
     levels, n_pos = [], []
     for zero, neg in zip(has_zero, _negative_roots(P, g.l)):
+        _check_energy(esc, max(neg, default=(0.0,))[0])
         lv = [Level(SECTOR_NEGATIVE, kappa, -esc * kappa**2, mult)
               for kappa, mult in sorted(neg, reverse=True)]
         if zero:
@@ -573,6 +602,7 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
         k_max = (n + 2) * math.pi / g.l * 1.25
         while n and roots[n - 1][0] > k_max:
             k_max *= 1.6
+        _check_energy(esc, roots[n - 1][0] if n else 0.0)
         lv += [Level(SECTOR_POSITIVE, k, esc * k**2, mult) for k, mult in roots[:n]]
         lv.sort(key=lambda level: level.energy)
         out.append(Spectrum(levels=tuple(lv[:n_levels]), k_max=k_max))

@@ -413,6 +413,71 @@ class TestNonFiniteInputs:
         assert run(tmp_path, *argv) == (2, "")
 
 
+HAAR_ARGS = [
+    "--xi=0.4039152044902676", "--alpha-re=0.7070850316982114", "--alpha-im=0.6368696519031734",
+    "--beta-re=-0.26536580127512216", "--beta-im=-0.15494772004351248",
+]
+
+
+class TestOutOfRangeInputs:
+    """Inputs whose levels, shifts or term counts leave the float range.
+
+    The suite turns RuntimeWarning into an error, so a numpy overflow on the
+    way to the refusal fails these tests too.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a bound state at kappa l ~ 1e300, whose energy overflows
+            ["spectrum", "--L0=1e-300", *HAAR_ARGS],
+            # kappa l ~ 7e152 is bisected in range, but its energy overflows
+            ["spectrum", "--L0=1e-153", "--hbar=1e10", *HAAR_ARGS],
+            # the positive levels' energies overflow
+            ["spectrum", "--hbar=1.3e154"],
+            # the oracle's default shift sits below kappa l ~ 1e200
+            ["oracle-check", "--L0=1e-200"],
+            # the spectral tail needs ~1e150 levels
+            ["kernel-compare", "--tau=1e-300", "--xi", "0", "--alpha-re", "-1"],
+        ],
+    )
+    def test_refused_with_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pointspec: ") and "Traceback" not in captured.err
+
+
+class TestScipyImports:
+    def test_loaded_only_by_the_oracle(self):
+        # every command but oracle-check runs on numpy alone; oracle-check
+        # imports scipy when it is called
+        script = """
+import contextlib, io, json, sys
+import pointspec, pointspec.cli as cli
+runs = [["classify"], ["spectrum", "--levels", "3"], ["eigenstate", "--levels", "3"],
+        ["scan", "--sweep", "L0:0.5:2:3"], ["kernel-compare", "--xi", "0", "--alpha-re", "-1", "--grid", "3"],
+        ["oracle-check", "--grid", "64", "--levels", "3"]]
+scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes, loaded = [], []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded.append(scipy())
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["codes"] == [0] * 6
+        assert result["loaded"][:5] == [[]] * 5
+        assert "scipy.sparse.linalg" in result["loaded"][5]
+
+
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
