@@ -60,6 +60,7 @@ __all__ = [
     "probability_current",
     "mode_inner",
     "residuals_and_norms",
+    "mode_values",
 ]
 
 #: nullspace rank tolerance, relative to the largest singular value
@@ -100,8 +101,7 @@ class Mode:
         return self._at(x, 1)
 
     def _at(self, x, derivative):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(_values(*_basis(self.sector, self.parameter), self.coeff_a, self.coeff_b, x)[derivative])
+        out = mode_values((self,), x)[derivative][..., 0]
         return out if out.ndim else complex(out)
 
 
@@ -296,6 +296,15 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> list:
     return modes
 
 
+def mode_values(modes, x):
+    """psi(x) and psi'(x) of every mode, with the modes on a new trailing axis.
+
+    x is a number or an array; both results have shape x.shape + (len(modes),).
+    """
+    power, rate, c = _packed(modes)
+    return _values(power, rate, c[:, 0], c[:, 1], np.asarray(x, dtype=float)[..., None])
+
+
 def mode_inner(m1: Mode, m2: Mode, g: BoxGeometry) -> complex:
     """L2 inner product <m1, m2> on [0, l] from exact antiderivatives."""
     return complex(_inner(_packed((m1,)), _packed((m2,)), g.l)[0])
@@ -370,18 +379,19 @@ def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
     nullspace rank at a positive level disagrees with its root multiplicity.
     """
     levels = spectrum(p, g, n_levels).levels
-    modes = {}
+    modes = [()] * len(levels)
     for sector in (SECTOR_NEGATIVE, SECTOR_ZERO, SECTOR_POSITIVE):
-        group = [lv for lv in levels if lv.sector == sector]
+        group = [i for i, lv in enumerate(levels) if lv.sector == sector]
         if group:
-            modes.update(zip(group, _sector_modes(p, g, sector, [lv.parameter for lv in group])))
-    for lv in levels:
-        if lv.sector == SECTOR_POSITIVE and len(modes[lv]) != lv.multiplicity:
+            for i, found in zip(group, _sector_modes(p, g, sector, [levels[i].parameter for i in group])):
+                modes[i] = tuple(found)
+    for lv, found in zip(levels, modes):
+        if lv.sector == SECTOR_POSITIVE and len(found) != lv.multiplicity:
             raise ContradictionError(
                 "nullspace rank disagrees with the root multiplicity "
                 f"at k = {lv.parameter!r}"
             )
-    return tuple((lv, tuple(modes[lv])) for lv in levels)
+    return tuple(zip(levels, modes))
 
 
 def scale_invariant_coefficients(
@@ -425,10 +435,7 @@ def scale_invariant_mode(p: U2Params, g: BoxGeometry, s: int, n: int) -> Mode:
     c = scale_invariant_coefficients(p, g, s, n)
     theta = twist_angle(p)
     k_signed = s * (theta + 2.0 * n * math.pi) / g.l
-    if s == +1:
-        a, b = c.a_plus, -c.a_minus
-    else:
-        a, b = c.a_minus, -c.a_plus
+    a, b = (c.a_plus, -c.a_minus) if s == +1 else (c.a_minus, -c.a_plus)
     if k_signed <= 0.0:
         raise ConstraintError("branch/index combination gives a non-positive momentum")
     return Mode(SECTOR_POSITIVE, k_signed, a, b, normalized=True)
@@ -453,5 +460,6 @@ def probability_current(m: Mode, g: BoxGeometry, x) -> float:
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(x_arr > g.l):
         raise ConstraintError("position outside the box")
-    val = (g.hbar / g.mass) * np.imag(np.conj(m.psi(x_arr)) * m.dpsi(x_arr))
+    psi, dpsi = mode_values((m,), x_arr)
+    val = (g.hbar / g.mass) * np.imag(np.conj(psi) * dpsi)[..., 0]
     return val if val.ndim else float(val)

@@ -31,16 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenstates import ScaleInvariantCoefficients, scale_invariant_coefficients
+from .eigenstates import ScaleInvariantCoefficients, mode_values, scale_invariant_coefficients
 from .errors import ConstraintError, SubfamilyError, TailBoundError
 from .spectral import SECTOR_POSITIVE, BoxGeometry
-from .u2param import (
-    U2Params,
-    classify,
-    is_infinite,
-    separated_lengths,
-    twist_angle,
-)
+from .u2param import U2Params, classify, is_infinite, separated_lengths, twist_angle
 
 __all__ = [
     "EuclideanTime",
@@ -71,8 +65,7 @@ class EuclideanTime:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ConstraintError("Euclidean time must be strictly positive")
+        tau_value(self.tau)
 
 
 def tau_value(tau) -> float:
@@ -164,12 +157,11 @@ def spectral_heat_kernel(
         raise TailBoundError(
             f"a basis of {len(basis)} levels leaves a spectral tail above {tol}"
         )
-    pairs = [(lv.energy, m) for lv, modes in basis for m in modes]
+    modes = [m for _, level_modes in basis for m in level_modes]
     # modes on a trailing axis, summed elementwise: a BLAS contraction spent
     # milliseconds per call waking OpenBLAS threads (2 cores), more than the sum
-    w = np.exp(-np.array([energy for energy, _ in pairs]) * t / g.hbar)
-    psi_a = np.stack([m.psi(a) for _, m in pairs], axis=-1)
-    psi_b = np.stack([m.psi(b) for _, m in pairs], axis=-1)
+    w = np.exp(-np.array([lv.energy for lv, level_modes in basis for _ in level_modes]) * t / g.hbar)
+    psi_a, psi_b = (mode_values(modes, x)[0] for x in (a, b))
     out = np.sum(w * psi_b * np.conj(psi_a), axis=-1)
     return complex(out) if out.ndim == 0 else out
 
@@ -222,10 +214,7 @@ def image_heat_kernel(
     used = [tm for tm in terms.terms if abs(tm.shift) <= cut]
     if not used:
         raise TailBoundError("term list is empty inside the requested image range")
-    alpha = g.mass * g.l**2 / (2.0 * g.hbar * t)
-    j = n_images - 1
-    w_max = max(abs(tm.weight) for tm in terms.terms)
-    tail = 4.0 * w_max * math.exp(-alpha * j * j) / max(1e-300, -math.expm1(-alpha * (2 * j + 1)))
+    tail = _image_tail(g, t, n_images, max(abs(tm.weight) for tm in terms.terms))
     if tail > tol:
         raise TailBoundError(
             f"n_images = {n_images} leaves an image tail bound {tail:.3e} above {tol}"
@@ -242,14 +231,17 @@ def image_heat_kernel(
 def images_needed(g: BoxGeometry, tau, tol: float = 1e-12, weight_bound: float = 2.0) -> int:
     """Smallest image count whose Gaussian tail bound is below `tol`."""
     t = tau_value(tau)
-    alpha = g.mass * g.l**2 / (2.0 * g.hbar * t)
     for n in range(2, _MAX_TERMS):
-        j = n - 1
-        tail = 4.0 * weight_bound * math.exp(-alpha * j * j)
-        tail /= max(1e-300, -math.expm1(-alpha * (2 * j + 1)))
-        if tail <= tol:
+        if _image_tail(g, t, n, weight_bound) <= tol:
             return n
     raise TailBoundError("image tail target unreachable")
+
+
+def _image_tail(g: BoxGeometry, t: float, n_images: int, weight_bound: float) -> float:
+    """Bound on the image terms beyond |nu| = n_images - 1, relative to the free prefactor."""
+    alpha = g.mass * g.l**2 / (2.0 * g.hbar * t)
+    j = n_images - 1
+    return 4.0 * weight_bound * math.exp(-alpha * j * j) / max(1e-300, -math.expm1(-alpha * (2 * j + 1)))
 
 
 def image_pair_weights(c: ScaleInvariantCoefficients, theta: float, n: int):

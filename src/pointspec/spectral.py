@@ -93,6 +93,15 @@ _DOUBLE_RTOL = 1e-7
 #: in it can overflow a b
 _FLOAT_MAX = float(np.finfo(float).max)
 _WIDE_WINDOW = math.sqrt(_FLOAT_MAX / 4.0)
+#: the supported L0 / l: below it the negative window's start 4 l / L0 is
+#: fewer than 25 doublings from leaving the float range, and above it the
+#: positive residual's (k L0)**2 overflows at listed levels past k l ~ 1e54
+_LAM_RANGE = (1e-300, 1e100)
+#: v lam is clipped to this before it is squared in the negative residual and
+#: pencil, so that both stay floats while their signs are kept: it is far
+#: beyond their roots at every supported L0 / l, and no point with L0 / l up
+#: to 1e76 reaches it
+_VL_CLIP = 1e153
 #: a refined root must have the count pass its state within this, relative
 _CHECK_RTOL = 1e-12
 
@@ -226,13 +235,13 @@ def _pos_resid_deriv(u, lam, s, c1, c2, b_i):
 
 def _neg_resid_scaled(v, lam, s, c1, c2, b_i):
     """2 exp(-v) times the negative-level residual; same roots, no overflow."""
-    vl = v * lam
+    vl = np.minimum(v * lam, _VL_CLIP)
     em = np.exp(-v)
     return 4.0 * vl * b_i * em + 2.0 * vl * s * (1.0 + em * em) - (c1 - c2 * vl**2) * np.expm1(-2.0 * v)
 
 
 def _neg_resid_scaled_deriv(v, lam, s, c1, c2, b_i):
-    vl, em = v * lam, np.exp(-v)
+    vl, em = np.minimum(v * lam, _VL_CLIP), np.exp(-v)
     em2 = em * em
     return (4.0 * lam * b_i * em * (1.0 - v) + 2.0 * lam * s * (1.0 + em2) - 4.0 * vl * s * em2
             + 2.0 * c2 * lam * vl * np.expm1(-2.0 * v) + 2.0 * (c1 - c2 * vl**2) * em2)
@@ -260,7 +269,7 @@ def _pencil_negative(v, lam, s, c1, c2, b_i):
     """(0, R, T) at E = -(v / l)^2, v > 0."""
     th = np.tanh(0.5 * v)
     a, b = -v * th, -v / th
-    R = lam * ((s - b_i) * a + (s + b_i) * b) - c1 + c2 * (lam * v) ** 2
+    R = lam * ((s - b_i) * a + (s + b_i) * b) - c1 + c2 * np.minimum(lam * v, _VL_CLIP) ** 2
     return 0.0, R, 2.0 * s + c2 * lam * (a + b)
 
 
@@ -293,8 +302,15 @@ _MAX_STEPS = 200
 
 
 def _coeffs(points, g: BoxGeometry):
-    """Residual parameters (lam, s, c1, c2, b_i) of each point, one column per point."""
+    """Residual parameters (lam, s, c1, c2, b_i) of each point, one column per point.
+
+    Raises ConstraintError for an L0 / l outside _LAM_RANGE.
+    """
     rows = [(p.L0 / g.l, *_fingerprint_coeffs(p)) for p in points]
+    for lam, *_ in rows:
+        if not _LAM_RANGE[0] <= lam <= _LAM_RANGE[1]:
+            raise ConstraintError(
+                f"L0 / l = {lam:.3g} is outside the supported range [{_LAM_RANGE[0]:g}, {_LAM_RANGE[1]:g}]")
     return np.array(rows, dtype=float).reshape(-1, 5).T
 
 
@@ -563,7 +579,8 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
 
     The level counts and root refinements of all points run in shared array
     passes; each point's result is the same as when it is alone.  A level
-    whose energy is outside the float range is a ConstraintError.
+    whose energy is outside the float range is a ConstraintError, as is an
+    L0 / l outside [1e-300, 1e100].
     """
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")

@@ -1,4 +1,7 @@
-"""Shared samplers for randomized tests (all seeded by the caller)."""
+"""Shared samplers for randomized tests (all seeded by the caller), and fixed points."""
+
+import cmath
+import math
 
 import numpy as np
 
@@ -48,3 +51,15 @@ def fingerprint_pair(rng, L0=1.0):
     p1 = make_u2(xi, complex(a_r, r * np.cos(chi1)), complex(r * np.sin(chi1), b_i), L0)
     p2 = make_u2(xi, complex(a_r, r * np.cos(chi2)), complex(r * np.sin(chi2), b_i), L0)
     return p1, p2
+
+
+def degenerate_negative_point():
+    """A point with a doubly degenerate negative level at kappa = 2, for l = L0 = 1."""
+    # U = (X - i kappa Y)(X + i kappa Y)^-1 admits both exp(+-kappa x)
+    kappa, e = 2.0, math.exp(2.0)
+    X = np.array([[1.0, 1.0], [e, 1.0 / e]])
+    Y = np.array([[1.0, -1.0], [-e, 1.0 / e]])
+    U = (X - 1j * kappa * Y) @ np.linalg.inv(X + 1j * kappa * Y)
+    xi = cmath.phase(np.linalg.det(U)) / 2.0 % math.pi
+    alpha, beta = U[0] * cmath.exp(-1j * xi)
+    return make_u2(xi, complex(alpha), complex(beta))

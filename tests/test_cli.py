@@ -439,6 +439,10 @@ class TestOutOfRangeInputs:
             ["oracle-check", "--L0=1e-200"],
             # the spectral tail needs ~1e150 levels
             ["kernel-compare", "--tau=1e-300", "--xi", "0", "--alpha-re", "-1"],
+            # L0 / l outside the supported range: v lam overflows at the
+            # negative window's start, or 4 l / L0 does
+            ["spectrum", "--L0=1e160"],
+            ["spectrum", "--L0=1e-310"],
         ],
     )
     def test_refused_with_exit_2(self, capsys, argv):
@@ -446,6 +450,16 @@ class TestOutOfRangeInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("pointspec: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("point", [[], ["--xi", "0", "--alpha-re", "-1"]], ids=["default", "c2-zero"])
+    def test_large_L0_matches_its_neighbour(self, capsys, point):
+        # (v lam)**2 overflows at L0 / l = 1e78 but not at 1e76; the levels
+        # have converged by then, so only the printed L0 differs
+        outputs = []
+        for L0 in ("1e76", "1e78"):
+            assert main(["spectrum", f"--L0={L0}", *point]) == 0
+            outputs.append(capsys.readouterr().out.replace(f'"L0": {float(L0)!r}', '"L0": _'))
+        assert outputs[0] == outputs[1] and '"L0": _' in outputs[0]
 
 
 class TestScipyImports:

@@ -23,6 +23,7 @@ from pointspec import (
     find_positive_roots,
     make_u2,
     mode_inner,
+    mode_values,
     negative_mode,
     normalize,
     probability_current,
@@ -34,7 +35,7 @@ from pointspec import (
     zero_mode,
 )
 from pointspec import eigenstates
-from helpers import haar_point, scale_invariant_point
+from helpers import degenerate_negative_point, haar_point, scale_invariant_point
 
 RNG = np.random.default_rng(20240813)
 
@@ -262,18 +263,6 @@ def _ref_modes(p, g, sector, k):
     return basis, out
 
 
-def _degenerate_negative_point():
-    # U = (X - i kappa Y)(X + i kappa Y)^-1 admits both exp(+-kappa x) at
-    # kappa = 2, l = L0 = 1: a doubly degenerate negative level
-    kappa, e = 2.0, math.exp(2.0)
-    X = np.array([[1.0, 1.0], [e, 1.0 / e]])
-    Y = np.array([[1.0, -1.0], [-e, 1.0 / e]])
-    U = (X - 1j * kappa * Y) @ np.linalg.inv(X + 1j * kappa * Y)
-    xi = cmath.phase(np.linalg.det(U)) / 2.0 % math.pi
-    alpha, beta = U[0] * cmath.exp(-1j * xi)
-    return make_u2(xi, complex(alpha), complex(beta))
-
-
 _HAAR = np.random.default_rng(606)
 REFERENCE_CASES = [
     *((f"haar-{i}", haar_point(_HAAR), G1, 256) for i in range(3)),
@@ -285,7 +274,7 @@ REFERENCE_CASES = [
     ("neumann-dirichlet", make_u2(math.pi / 2, -1j, 0.0), G1, 32),
     ("twisted-circle", make_u2(math.pi / 2, 0.0,
                                complex(math.sin(0.3 * math.pi), -math.cos(0.3 * math.pi))), G1, 64),
-    ("degenerate-negative", _degenerate_negative_point(), BoxGeometry(l=1.0), 8),
+    ("degenerate-negative", degenerate_negative_point(), BoxGeometry(l=1.0), 8),
 ]
 
 
@@ -455,6 +444,33 @@ class TestProbabilityCurrent:
         m = Mode("positive", 1.0, 1.0, 0.0)
         with pytest.raises(ConstraintError):
             probability_current(m, G1, 1.5)
+
+
+class TestModeValues:
+    """mode_values against one-mode evaluation, bit for bit."""
+
+    # a double bound state and simple positive levels, then the Im beta = -1
+    # pole: a zero mode under doubly degenerate positive levels
+    MODES = [m for p, g, n in ((degenerate_negative_point(), BoxGeometry(l=1.0), 3),
+                               (make_u2(math.pi / 2, 0.0, -1j), G1, 3))
+             for _, modes in eigenbasis(p, g, n) for m in modes]
+    XS = np.linspace(0.0, 1.0, 7)
+
+    @pytest.mark.parametrize("x", [0.3, XS, *np.meshgrid(XS, XS[::2], indexing="ij", sparse=True)],
+                             ids=["scalar", "1-d", "grid-rows", "grid-columns"])
+    def test_matches_psi_and_dpsi(self, x):
+        assert {m.sector for m in self.MODES} == {"negative", "zero", "positive"}
+        psi, dpsi = mode_values(self.MODES, x)
+        assert psi.shape == dpsi.shape == np.shape(x) + (len(self.MODES),)
+        for i, m in enumerate(self.MODES):
+            assert np.array_equal(psi[..., i], m.psi(x))
+            assert np.array_equal(dpsi[..., i], m.dpsi(x))
+
+    def test_one_mode_is_psi_and_dpsi(self):
+        m = self.MODES[0]
+        psi, dpsi = mode_values([m], 0.3)
+        assert psi.shape == dpsi.shape == (1,)
+        assert type(m.psi(0.3)) is complex and m.psi(0.3) == psi[0] and m.dpsi(0.3) == dpsi[0]
 
 
 class TestOrthogonality:
