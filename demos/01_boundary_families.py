@@ -15,7 +15,6 @@ import numpy as np
 
 from pointspec import (
     classify,
-    is_infinite,
     make_u2,
     separated_lengths,
     to_matrix,
@@ -54,8 +53,7 @@ for name, p in landmarks:
     print(f"   subfamilies: {', '.join(tags) if tags else '(generic point)'}")
     if flags.separated:
         sl = separated_lengths(p)
-        fmt = lambda v: "inf" if is_infinite(v) else f"{v:.6g}"
-        print(f"   Robin lengths: L+ = {fmt(sl.l_plus)}, L- = {fmt(sl.l_minus)}"
+        print(f"   Robin lengths: L+ = {sl.l_plus:.6g}, L- = {sl.l_minus:.6g}"
               "   (walls decouple: a box in the strict sense)")
     if flags.scale_invariant:
         print(f"   twist angle theta = {twist_angle(p):.6f}"

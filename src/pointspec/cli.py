@@ -35,7 +35,6 @@ from .spectral import (
 from .u2param import (
     CLASSIFY_TOL,
     classify,
-    is_infinite,
     make_u2,
     separated_lengths,
     twist_angle,
@@ -305,10 +304,8 @@ def _cmd_classify(cfg):
         row["twist_angle"] = payload["twist_angle"]
     if flags.separated:
         sl = separated_lengths(p, tol)
-        as_text = lambda v: "inf" if is_infinite(v) else "%.17g" % v
-        payload["robin_lengths"] = {"l_plus": as_text(sl.l_plus), "l_minus": as_text(sl.l_minus)}
-        row["l_plus"] = as_text(sl.l_plus)
-        row["l_minus"] = as_text(sl.l_minus)
+        payload["robin_lengths"] = {"l_plus": "%.17g" % sl.l_plus, "l_minus": "%.17g" % sl.l_minus}
+        row.update(payload["robin_lengths"])
     _emit(payload, [row], cfg)
     return 0
 

@@ -63,11 +63,8 @@ __all__ = [
     "mode_values",
 ]
 
-#: nullspace rank tolerance, relative to the largest singular value
+#: nullspace rank tolerance, relative to the boundary matrix's scale
 _RANK_RTOL = 1e-8
-#: absolute-floor fraction of the matrix scale, so that rank 2 is still
-#: certified when the whole matrix vanishes at an even-order root
-_RANK_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class Mode:
     parameter: float | None
     coeff_a: complex
     coeff_b: complex
-    normalized: bool = False
 
     def __post_init__(self):
         if self.sector not in (SECTOR_POSITIVE, SECTOR_ZERO, SECTOR_NEGATIVE):
@@ -209,12 +205,11 @@ def _inner(m1, m2, l):
     return np.einsum("ni,nij,nj->n", c1.conj(), _moments(n, nu, l), c2)
 
 
-def _boundary_operator(p: U2Params):
-    """(Psi, Psi') -> (U - I) Psi + i L0 (U + I) Psi' on row vectors, zero on data meeting the conditions."""
+def _boundary_matrices(p: U2Params) -> np.ndarray:
+    """[U - I, i L0 (U + I)]: the conditions read Psi (U - I)^T + Psi' (i L0 (U + I))^T = 0 on row vectors."""
     U = to_matrix(p)
     eye = np.eye(2)
-    lhs, rhs = U - eye, 1j * p.L0 * (U + eye)
-    return lambda psi, dpsi: psi @ lhs.T + dpsi @ rhs.T
+    return np.stack([U - eye, 1j * p.L0 * (U + eye)])
 
 
 @_quiet
@@ -223,7 +218,8 @@ def _residuals(modes, p: U2Params, l: float) -> np.ndarray:
     power, rate, c = modes
     psi, dpsi = _ends(power, rate, c[:, 0], c[:, 1], l)
     denom = np.hypot(np.linalg.norm(psi, axis=-1), np.linalg.norm(p.L0 * dpsi, axis=-1))
-    r = np.linalg.norm(_boundary_operator(p)(psi, dpsi), axis=-1)
+    lhs, rhs = _boundary_matrices(p)
+    r = np.linalg.norm(psi @ lhs.T + dpsi @ rhs.T, axis=-1)
     return r / np.where(denom > 0.0, denom, np.inf)
 
 
@@ -257,31 +253,30 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> list:
     """Orthonormal eigenfunctions of every listed level of one sector, solved together.
 
     The coefficient pairs span the nullspace of each level's 2x2 boundary
-    matrix, from one stacked SVD.  A singular value at or below
-    _RANK_RTOL * max(largest, _RANK_FLOOR * matrix scale) counts towards the
-    rank, and the zero level has rank 1.  Rank-2 levels are made
-    L2-orthonormal by Gram-Schmidt.  Returns one list of modes per level;
-    raises RootNotFoundError when a level has rank 0.
+    matrix M = (U - I) Psi + i L0 (U + I) Psi', from one stacked SVD.  A
+    singular value at or below _RANK_RTOL (|U - I| |Psi| + L0 |U + I| |Psi'|)
+    counts towards the rank, a bound on |M| that follows its scale when the
+    two terms cancel and when U = +-I removes one of them.  Rank-2 levels are
+    made L2-orthonormal by Gram-Schmidt.  Returns one list of modes per
+    level; raises RootNotFoundError when a level has rank 0.
     """
     n = len(parameters)
     k = np.array([0.0 if v is None else v for v in parameters], dtype=float)
     power, rate = (np.broadcast_to(v, (n,)) for v in _basis(sector, k))
     psi, dpsi = _ends(power[:, None], rate[:, None], *np.eye(2), g.l)
     # level i's matrix M takes (A, B) to its boundary residual; column j is basis function j
-    _, sv, vh = np.linalg.svd(np.swapaxes(_boundary_operator(p)(psi, dpsi), -1, -2))
-    rank = np.ones(n, dtype=int)
-    if sector != SECTOR_ZERO:
-        mscale = np.maximum(1.0, np.abs(k) * p.L0)
-        if sector == SECTOR_NEGATIVE:
-            mscale = mscale * np.cosh(np.minimum(k * g.l, 700.0))
-        thresh = _RANK_RTOL * np.maximum(sv[:, 0], _RANK_FLOOR * mscale)
-        rank = np.count_nonzero(sv <= thresh[:, None], axis=1)
-        if not rank.all():
-            i = int(np.argmin(rank))
-            raise RootNotFoundError(
-                f"{sector} parameter {parameters[i]!r} is not a root of the level condition "
-                f"(smallest singular value {sv[i, -1]:.3e} above tolerance {thresh[i]:.3e})"
-            )
+    ops = _boundary_matrices(p)
+    _, sv, vh = np.linalg.svd(np.swapaxes(psi @ ops[0].T + dpsi @ ops[1].T, -1, -2))
+    size = np.linalg.svd(ops, compute_uv=False)[:, 0]  # |U - I| and L0 |U + I|
+    thresh = _RANK_RTOL * (size[0] * np.linalg.norm(psi, axis=(1, 2))
+                           + size[1] * np.linalg.norm(dpsi, axis=(1, 2)))
+    rank = np.count_nonzero(sv <= thresh[:, None], axis=1)
+    if not rank.all():
+        i = int(np.argmin(rank))
+        raise RootNotFoundError(
+            f"{sector} parameter {parameters[i]!r} is not a root of the level condition "
+            f"(smallest singular value {sv[i, -1]:.3e} above tolerance {thresh[i]:.3e})"
+        )
     # Gram-Schmidt in L2 on the rank-2 levels, then one normalization for all
     vecs, two = vh[np.arange(n), 2 - rank].conj(), np.flatnonzero(rank == 2)
     if two.size:
@@ -290,9 +285,9 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> list:
         v2 = v2 - (overlap / _inner((power2, rate2, v1), (power2, rate2, v1), g.l))[:, None] * v1
         power, rate, vecs = (np.concatenate(v) for v in ((power, power2), (rate, rate2), (vecs, v2)))
     coeffs = _normalized((power, rate, vecs), g.l).tolist()
-    modes = [[Mode(sector, v, *c, normalized=True)] for v, c in zip(parameters, coeffs)]
+    modes = [[Mode(sector, v, *c)] for v, c in zip(parameters, coeffs)]
     for i, c in zip(two.tolist(), coeffs[n:]):
-        modes[i].append(Mode(sector, parameters[i], *c, normalized=True))
+        modes[i].append(Mode(sector, parameters[i], *c))
     return modes
 
 
@@ -358,14 +353,14 @@ def negative_mode(p: U2Params, g: BoxGeometry, kappa: float) -> Mode:
     return negative_modes(p, g, kappa)[0]
 
 
-def zero_mode(p: U2Params, g: BoxGeometry, tol: float = 1e-9) -> Mode:
+def zero_mode(p: U2Params, g: BoxGeometry) -> Mode:
     """Normalized zero-energy eigenfunction A x + B.
 
-    Raises SubfamilyError when the existence condition does not hold within
-    `tol`.  The coefficients span the nullspace of the zero-sector
-    coefficient matrix, through the same SVD route as the other sectors.
+    Raises SubfamilyError when `zero_mode_exists` is false.  The
+    coefficients span the nullspace of the zero-sector coefficient matrix,
+    through the same SVD route as the other sectors.
     """
-    if not zero_mode_exists(p, g, tol):
+    if not zero_mode_exists(p, g):
         raise SubfamilyError("no zero-energy state at this boundary point")
     return _sector_modes(p, g, SECTOR_ZERO, [None])[0][0]
 
@@ -376,7 +371,7 @@ def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
     Returns a tuple of (Level, modes) pairs in energy order; a degenerate
     level carries all of its modes.  The levels of each sector are solved
     together, deepest sector first.  Raises ContradictionError when the
-    nullspace rank at a positive level disagrees with its root multiplicity.
+    nullspace rank at a level disagrees with its multiplicity.
     """
     levels = spectrum(p, g, n_levels).levels
     modes = [()] * len(levels)
@@ -386,10 +381,10 @@ def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
             for i, found in zip(group, _sector_modes(p, g, sector, [levels[i].parameter for i in group])):
                 modes[i] = tuple(found)
     for lv, found in zip(levels, modes):
-        if lv.sector == SECTOR_POSITIVE and len(found) != lv.multiplicity:
+        if len(found) != lv.multiplicity:
             raise ContradictionError(
                 "nullspace rank disagrees with the root multiplicity "
-                f"at k = {lv.parameter!r}"
+                f"at {lv.sector} parameter {lv.parameter!r}"
             )
     return tuple(zip(levels, modes))
 
@@ -438,7 +433,7 @@ def scale_invariant_mode(p: U2Params, g: BoxGeometry, s: int, n: int) -> Mode:
     a, b = (c.a_plus, -c.a_minus) if s == +1 else (c.a_minus, -c.a_plus)
     if k_signed <= 0.0:
         raise ConstraintError("branch/index combination gives a non-positive momentum")
-    return Mode(SECTOR_POSITIVE, k_signed, a, b, normalized=True)
+    return Mode(SECTOR_POSITIVE, k_signed, a, b)
 
 
 def normalize(m: Mode, g: BoxGeometry) -> Mode:
@@ -448,7 +443,7 @@ def normalize(m: Mode, g: BoxGeometry) -> Mode:
     psi'(0) onto the positive real axis.
     """
     a, b = _normalized(_packed((m,)), g.l)[0].tolist()
-    return Mode(m.sector, m.parameter, a, b, normalized=True)
+    return Mode(m.sector, m.parameter, a, b)
 
 
 def probability_current(m: Mode, g: BoxGeometry, x) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .kernels import halfline_image_kernel, tau_value
-from .u2param import INFINITE_LENGTH, is_infinite
+from .u2param import INFINITE_LENGTH
 
 __all__ = [
     "WallParam",
@@ -40,7 +40,7 @@ __all__ = [
 class WallParam:
     """Wall data: Robin length L, its angle phi with L = L0 cot(phi), and L0."""
 
-    L: object
+    L: float
     phi: float
     L0: float = 1.0
 
@@ -49,7 +49,7 @@ class WallParam:
             raise ConstraintError("L0 must be strictly positive")
         if not (0.0 <= self.phi < math.pi):
             raise ConstraintError("phi must lie in [0, pi)")
-        if is_infinite(self.L):
+        if self.L == INFINITE_LENGTH:
             if abs(math.sin(self.phi)) > 1e-9:
                 raise ConstraintError("infinite L requires phi = 0")
         else:
@@ -59,8 +59,8 @@ class WallParam:
 
 
 def wall_from_length(L, L0: float = 1.0) -> WallParam:
-    """Wall from its Robin length (float or INFINITE_LENGTH)."""
-    if is_infinite(L) or (isinstance(L, float) and math.isinf(L)):
+    """Wall from its Robin length; an infinite one is the Neumann wall."""
+    if math.isinf(L):
         return WallParam(INFINITE_LENGTH, 0.0, L0)
     return WallParam(float(L), math.atan2(L0, float(L)), L0)
 
@@ -82,7 +82,7 @@ def reflection_coefficient(w: WallParam, k: float) -> complex:
     satisfy psi(0) + L psi'(0) = 0 (so R(0-length wall) = -1); the family is
     continuous in L and |R| = 1 throughout.
     """
-    if is_infinite(w.L):
+    if w.L == INFINITE_LENGTH:
         return 1.0 + 0j
     ikl = 1j * k * w.L
     return -(1.0 - ikl) / (1.0 + ikl)
@@ -119,7 +119,7 @@ def bound_state(w: WallParam, hbar: float = 1.0, mass: float = 1.0):
     function psi(x) = sqrt(2/L) exp(-x/L).  Walls with L <= 0 or infinite L
     have no bound state and raise ConstraintError.
     """
-    if is_infinite(w.L) or not w.L > 0.0:
+    if not 0.0 < w.L < INFINITE_LENGTH:
         raise ConstraintError("bound state exists only for finite L > 0")
     L = w.L
     energy = -(hbar**2) / (2.0 * mass * L * L)
@@ -159,7 +159,7 @@ def robin_heat_kernel(
     t = tau_value(tau)
     if a < 0.0 or b < 0.0:
         raise ConstraintError("half-line positions must be non-negative")
-    if is_infinite(w.L):
+    if w.L == INFINITE_LENGTH:
         return halfline_image_kernel("neumann", a, b, t, hbar, mass)
     L = w.L
     if L == 0.0:
@@ -186,8 +186,6 @@ def spectral_kernel_by_quadrature(
     tau,
     hbar: float = 1.0,
     mass: float = 1.0,
-    include_bound: bool = True,
-    quad_limit: int = 400,
 ) -> float:
     """Direct spectral integral of the wall kernel.
 
@@ -206,8 +204,8 @@ def spectral_kernel_by_quadrature(
         pa = scattering_state(w, k, a)
         return (math.exp(-c * k * k) * pb * pa.conjugate()).real
 
-    val, _ = quad(integrand, 0.0, k_max, limit=quad_limit)
-    if include_bound and not is_infinite(w.L) and w.L > 0.0:
+    val, _ = quad(integrand, 0.0, k_max, limit=400)
+    if 0.0 < w.L < INFINITE_LENGTH:
         energy, psi_b = bound_state(w, hbar, mass)
         val += math.exp(-energy * t / hbar) * (psi_b(b) * np.conj(psi_b(a))).real
     return float(val)

@@ -34,7 +34,7 @@ import numpy as np
 from .eigenstates import ScaleInvariantCoefficients, mode_values, scale_invariant_coefficients
 from .errors import ConstraintError, SubfamilyError, TailBoundError
 from .spectral import SECTOR_POSITIVE, BoxGeometry
-from .u2param import U2Params, classify, is_infinite, separated_lengths, twist_angle
+from .u2param import INFINITE_LENGTH, U2Params, classify, separated_lengths, twist_angle
 
 __all__ = [
     "EuclideanTime",
@@ -166,15 +166,15 @@ def spectral_heat_kernel(
     return complex(out) if out.ndim == 0 else out
 
 
-def spectral_levels_needed(p: U2Params, g: BoxGeometry, tau, tol: float = 1e-12) -> int:
-    """Smallest level count whose spectral tail is below `tol`.
+def spectral_levels_needed(p: U2Params, g: BoxGeometry, tau) -> int:
+    """Smallest level count whose spectral tail is below 1e-12.
 
     Raises TailBoundError when that count passes _MAX_TERMS.
     """
     t = tau_value(tau)
     c = g.hbar * t / (2.0 * g.mass)
-    # erfc(x) < tol/8 at x ~ sqrt(log(8/tol)); convert to a momentum cutoff
-    x = math.sqrt(max(1.0, math.log(8.0 / tol)))
+    # erfc(x) < 1e-12 / 8 at x ~ sqrt(log(8e12)); convert to a momentum cutoff
+    x = math.sqrt(math.log(8e12))
     k_need = (x + 1.0) / math.sqrt(c) if c > 0.0 else math.inf
     # one level per branch per 2*pi/l of momentum, plus zero/negative slack
     top = k_need * g.l / math.pi
@@ -228,11 +228,11 @@ def image_heat_kernel(
     return complex(out) if out.ndim == 0 else out
 
 
-def images_needed(g: BoxGeometry, tau, tol: float = 1e-12, weight_bound: float = 2.0) -> int:
-    """Smallest image count whose Gaussian tail bound is below `tol`."""
+def images_needed(g: BoxGeometry, tau, tol: float = 1e-12) -> int:
+    """Smallest image count whose Gaussian tail bound is below `tol` for weights up to 2."""
     t = tau_value(tau)
     for n in range(2, _MAX_TERMS):
-        if _image_tail(g, t, n, weight_bound) <= tol:
+        if _image_tail(g, t, n, 2.0) <= tol:
             return n
     raise TailBoundError("image tail target unreachable")
 
@@ -280,7 +280,7 @@ def build_image_terms(p: U2Params, g: BoxGeometry, n_images: int) -> KernelTermL
         sl = separated_lengths(p)
         walls = []
         for val in (sl.l_plus, sl.l_minus):
-            if is_infinite(val):
+            if val == INFINITE_LENGTH:
                 walls.append("inf")
             elif val == 0.0:
                 walls.append("zero")

@@ -44,10 +44,11 @@ condition, or bisected on the count where the refined root is rounding
 noise of the condition.  Two states closer than 1e-7 relative are one
 double level, placed at the zero of T.  Bound states are sought in
 [1e-9, `negative_search_ceiling`] only, a heuristic window: deeper ones are
-left out, though the count knows them; one too deep for float arithmetic
-(at L0 / l below about 1e-153) is refused with ConstraintError.  `spectra`
-solves a batch of points in shared array passes; `spectrum` is a batch of
-one.
+left out, though the count knows them.  The zero level is listed when the
+zero-mode condition holds and the count finds states within _ZERO_SHADOW_U
+of zero energy; they are then the zero level, with their number as its
+multiplicity, and are listed in neither other sector.  `spectra` solves a batch of points in
+shared array passes; `spectrum` is a batch of one.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ __all__ = [
 _ROOT_RTOL = 4 * np.finfo(float).eps
 #: levels are counted from this u = k*l (v = kappa*l) up
 _FLOOR = 1e-9 * (1.0 + 1e-6)
-#: positive roots below this u are the numerical shadow of a zero mode and
-#: are dropped from assembled spectra when the zero-mode flag is set
+#: a state with |u| (or v) below this is the numerical shadow of a zero mode:
+#: the zero level stands for it when the zero-mode flag is set
 _ZERO_SHADOW_U = 1e-3
 #: |cos xi + Re alpha| at or below this is an exact Dirichlet direction of U
 _C2_SNAP = 1e-12
@@ -89,14 +90,11 @@ _C2_SNAP = 1e-12
 _GAP = 1e-13
 #: two states closer than this, relative, are one double level
 _DOUBLE_RTOL = 1e-7
-#: the largest float, and the negative window past which a bracket [a, b]
-#: in it can overflow a b
-_FLOAT_MAX = float(np.finfo(float).max)
-_WIDE_WINDOW = math.sqrt(_FLOAT_MAX / 4.0)
-#: the supported L0 / l: below it the negative window's start 4 l / L0 is
-#: fewer than 25 doublings from leaving the float range, and above it the
-#: positive residual's (k L0)**2 overflows at listed levels past k l ~ 1e54
-_LAM_RANGE = (1e-300, 1e100)
+#: the supported L0 / l.  Below it the count's smallest term, (lam u)**2 w
+#: at u = _FLOOR and w = _FLOOR / 2, is no longer a normal float; that holds
+#: from lam = sqrt(2 tiny / _FLOOR**3) = 6.7e-141 up.  Above it the positive
+#: residual's (k L0)**2 overflows at listed levels past k l ~ 1e54
+_LAM_RANGE = (1e-140, 1e100)
 #: v lam is clipped to this before it is squared in the negative residual and
 #: pencil, so that both stay floats while their signs are kept: it is far
 #: beyond their roots at every supported L0 / l, and no point with L0 / l up
@@ -147,7 +145,8 @@ class Level:
 
     parameter is k for the positive sector, kappa for the negative sector and
     None for the zero mode.  multiplicity is the number of states at the
-    level, 2 where the boundary pencil vanishes in both directions.
+    level, 2 where the boundary pencil vanishes in both directions, and at
+    a zero level where every A x + B meets the conditions.
     """
 
     sector: str
@@ -208,9 +207,9 @@ def zero_mode_condition(p: U2Params, g: BoxGeometry) -> float:
     return (b_i + s) + c1 / (2.0 * lam)
 
 
-def zero_mode_exists(p: U2Params, g: BoxGeometry, tol: float = ZERO_MODE_TOL) -> bool:
-    """True iff a zero-energy state A x + B is admitted within `tol`."""
-    return abs(zero_mode_condition(p, g)) < tol
+def zero_mode_exists(p: U2Params, g: BoxGeometry) -> bool:
+    """True iff the zero-mode condition holds within ZERO_MODE_TOL."""
+    return abs(zero_mode_condition(p, g)) < ZERO_MODE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +487,13 @@ def _positive_states(P, K):
 
 
 def _negative_ceilings(P):
-    """negative_search_ceiling of each point, doubling all open windows at once."""
+    """negative_search_ceiling of each point, doubling all open windows at once.
+
+    The residual has at most two zeros, one per state, so at most four
+    doublings hold one and a ceiling is at most 32 max(10, 4 / lam, 4 lam):
+    below 1e143 in _LAM_RANGE, so that the product a b of a bracket's ends,
+    which `_mid` takes the root of, stays a float.
+    """
     v = np.maximum(np.maximum(10.0, 4.0 / P[0]), 4.0 * P[0])
     out = np.empty(len(v))
     todo = np.arange(len(v))
@@ -503,23 +508,9 @@ def _negative_ceilings(P):
 
 
 def _negative_roots(P, l):
-    """(kappa, multiplicity) of every negative level of each point within its window.
-
-    Brackets [a, b] are split at sqrt(a b), which overflows once a b passes
-    the largest float.  Only a window wider than _WIDE_WINDOW (L0 / l below
-    about 1e-153) gets there, and in it a state deeper than
-    _FLOAT_MAX / (4 v_max) is refused with ConstraintError.
-    """
+    """(kappa, multiplicity) of every negative level of each point within its window."""
     x = np.stack([np.full(P.shape[1], _FLOOR), _negative_ceilings(P)], axis=1)
     C = _count(_NEGATIVE, x, P[:, :, None]).astype(int)
-    i = np.flatnonzero(x[:, 1] > _WIDE_WINDOW)
-    if len(i):
-        v_safe = _FLOAT_MAX / (4.0 * x[i, 1])
-        deep = C[i, 1] > _count(_NEGATIVE, v_safe, P[:, i])
-        if deep.any():
-            raise ConstraintError(
-                f"L0 / l = {P[0, i[deep][0]]:.3g} has a bound state beyond kappa l = "
-                f"{v_safe[deep][0]:.3g}, outside the float range")
     roots = _states(_NEGATIVE, x, C, P)
     return [[(v / l, m) for v, m in r] for r in roots]
 
@@ -580,7 +571,7 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     The level counts and root refinements of all points run in shared array
     passes; each point's result is the same as when it is alone.  A level
     whose energy is outside the float range is a ConstraintError, as is an
-    L0 / l outside [1e-300, 1e100].
+    L0 / l outside [1e-140, 1e100].
     """
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")
@@ -589,14 +580,17 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
         return []
     P = _coeffs(points, g)
     esc = g.hbar**2 / (2.0 * g.mass)
-    has_zero = [zero_mode_exists(p, g) for p in points]
+    # the states between v and u = _ZERO_SHADOW_U, below and above zero energy
+    near = _count(_POSITIVE, _ZERO_SHADOW_U / math.pi, P) + _count(_NEGATIVE, _ZERO_SHADOW_U, P)
+    n_zero = [int(n) if zero_mode_exists(p, g) else 0 for p, n in zip(points, near.tolist())]
     levels, n_pos = [], []
-    for zero, neg in zip(has_zero, _negative_roots(P, g.l)):
+    for zero, neg in zip(n_zero, _negative_roots(P, g.l)):
+        neg = [(kappa, mult) for kappa, mult in neg if not zero or kappa * g.l >= _ZERO_SHADOW_U]
         _check_energy(esc, max(neg, default=(0.0,))[0])
         lv = [Level(SECTOR_NEGATIVE, kappa, -esc * kappa**2, mult)
               for kappa, mult in sorted(neg, reverse=True)]
         if zero:
-            lv.append(Level(SECTOR_ZERO, None, 0.0, 1))
+            lv.append(Level(SECTOR_ZERO, None, 0.0, zero))
         levels.append(lv)
         n_pos.append(max(0, n_levels - len(lv)))
 
@@ -607,7 +601,7 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
         if not len(todo):
             break
         for i, roots in zip(todo, _positive_states(P[:, todo], K[todo])):
-            pos[i] = [(u / g.l, m) for u, m in roots if not has_zero[i] or u >= _ZERO_SHADOW_U]
+            pos[i] = [(u / g.l, m) for u, m in roots if not n_zero[i] or u >= _ZERO_SHADOW_U]
         todo = np.array([i for i in todo if len(pos[i]) < want[i]], dtype=int)
     if len(todo):
         raise ContradictionError("positive-level search failed to fill the request")
@@ -630,7 +624,9 @@ def spectrum(p: U2Params, g: BoxGeometry, n_levels: int) -> Spectrum:
     """The n_levels lowest levels: negative, then zero if present, then positive.
 
     k_max is the momentum cutoff that holds the positive levels listed.
-    When a zero mode is present, positive roots with k*l below 1e-3 are
-    treated as its numerical shadow and dropped.
+    The zero level is listed when the zero-mode condition holds and states
+    lie within k l (or kappa l) = 1e-3 of zero energy, as many as it has;
+    roots of either sector that close to zero are then its numerical
+    shadow and dropped.
     """
     return spectra((p,), g, n_levels)[0]

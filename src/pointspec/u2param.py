@@ -29,7 +29,6 @@ from .errors import ConstraintError, SubfamilyError
 
 __all__ = [
     "INFINITE_LENGTH",
-    "InfiniteLength",
     "U2Params",
     "SubfamilyFlags",
     "SeparatedLengths",
@@ -46,30 +45,8 @@ CLASSIFY_TOL = 1e-9
 _UNIT_NORM_TOL = 1e-12
 
 
-class InfiniteLength:
-    """Tagged stand-in for an infinite Robin length (a pure Neumann wall).
-
-    A dedicated singleton rather than float('inf') so that boundary-condition
-    assembly can branch on the wall type exactly.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE_LENGTH"
-
-
-INFINITE_LENGTH = InfiniteLength()
-
-
-def is_infinite(value) -> bool:
-    """True when `value` is the tagged infinite length."""
-    return isinstance(value, InfiniteLength)
+#: the Robin length of a pure Neumann wall
+INFINITE_LENGTH = math.inf
 
 
 @dataclass(frozen=True)
@@ -97,22 +74,6 @@ class U2Params:
             raise ConstraintError(f"xi = {self.xi!r} outside [0, pi)")
         if not 0.0 < self.L0 < math.inf:
             raise ConstraintError(f"L0 = {self.L0!r} must be finite and strictly positive")
-
-    @property
-    def alpha_re(self) -> float:
-        return self.alpha.real
-
-    @property
-    def alpha_im(self) -> float:
-        return self.alpha.imag
-
-    @property
-    def beta_re(self) -> float:
-        return self.beta.real
-
-    @property
-    def beta_im(self) -> float:
-        return self.beta.imag
 
 
 @dataclass(frozen=True)
@@ -148,16 +109,11 @@ class SeparatedLengths:
         psi(0) + l_plus  * psi'(0) = 0,
         psi(l) - l_minus * psi'(l) = 0.
 
-    Each length is a finite float or INFINITE_LENGTH.  phi is the phase of
-    alpha; phi_plus/phi_minus are the wall angles (xi +- phi)/2 with
-    L(+-) = L0 * cot(phi(+-)).
+    Each length is a float, INFINITE_LENGTH at a Neumann wall.
     """
 
-    l_plus: object
-    l_minus: object
-    phi: float
-    phi_plus: float
-    phi_minus: float
+    l_plus: float
+    l_minus: float
 
 
 def make_u2(xi: float, alpha: complex, beta: complex, L0: float = 1.0) -> U2Params:
@@ -201,8 +157,8 @@ def classify(p: U2Params, tol: float = CLASSIFY_TOL) -> SubfamilyFlags:
     )
 
 
-def _cot_length(phi: float, L0: float):
-    """L0 * cot(phi) with exact snapping to 0 and to the tagged infinity."""
+def _cot_length(phi: float, L0: float) -> float:
+    """L0 * cot(phi) with exact snapping to 0 and to INFINITE_LENGTH."""
     s, c = math.sin(phi), math.cos(phi)
     if abs(s) < 1e-12:
         return INFINITE_LENGTH
@@ -224,14 +180,9 @@ def separated_lengths(p: U2Params, tol: float = CLASSIFY_TOL) -> SeparatedLength
             f"point is not separated: beta = {p.beta!r} is nonzero beyond {tol}"
         )
     phi = math.atan2(p.alpha.imag, p.alpha.real) % (2.0 * math.pi)
-    phi_p = 0.5 * (p.xi + phi)
-    phi_m = 0.5 * (p.xi - phi)
     return SeparatedLengths(
-        l_plus=_cot_length(phi_p, p.L0),
-        l_minus=_cot_length(phi_m, p.L0),
-        phi=phi,
-        phi_plus=phi_p,
-        phi_minus=phi_m,
+        l_plus=_cot_length(0.5 * (p.xi + phi), p.L0),
+        l_minus=_cot_length(0.5 * (p.xi - phi), p.L0),
     )
 
 

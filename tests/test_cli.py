@@ -108,6 +108,18 @@ class TestClassifyCommand:
         doc = json.loads(text)
         assert doc["robin_lengths"] == {"l_plus": "0", "l_minus": "0"}
 
+    def test_infinite_lengths_printed_as_inf(self, tmp_path):
+        neumann = ["classify", "--xi", "0", "--alpha-re", "1"]
+        code, text = run(tmp_path, *neumann)
+        assert code == 0
+        assert '"l_plus": "inf"' in text and '"l_minus": "inf"' in text
+        assert json.loads(text)["robin_lengths"] == {"l_plus": "inf", "l_minus": "inf"}
+        code, text = run(tmp_path, *neumann, "--format", "csv", name="o.csv")
+        assert code == 0
+        header, row = (line.split(",") for line in text.strip().split("\n"))
+        cells = dict(zip(header, row))
+        assert (cells["l_plus"], cells["l_minus"]) == ("inf", "inf")
+
     def test_csv_format(self, tmp_path):
         code, text = run(
             tmp_path, "classify", *DIRICHLET_ARGS, "--format", "csv", name="o.csv"
@@ -429,13 +441,14 @@ class TestOutOfRangeInputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            # a bound state at kappa l ~ 1e300, whose energy overflows
+            # L0 / l below the supported range, where a bound state would lie
+            # at kappa l ~ 1e300, or ~7e152 with an energy that overflows
             ["spectrum", "--L0=1e-300", *HAAR_ARGS],
-            # kappa l ~ 7e152 is bisected in range, but its energy overflows
             ["spectrum", "--L0=1e-153", "--hbar=1e10", *HAAR_ARGS],
             # the positive levels' energies overflow
             ["spectrum", "--hbar=1.3e154"],
-            # the oracle's default shift sits below kappa l ~ 1e200
+            # L0 / l below the supported range, before the oracle's default
+            # shift would sit below kappa l ~ 1e200
             ["oracle-check", "--L0=1e-200"],
             # the spectral tail needs ~1e150 levels
             ["kernel-compare", "--tau=1e-300", "--xi", "0", "--alpha-re", "-1"],

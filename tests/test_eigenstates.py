@@ -193,6 +193,30 @@ class TestEigenbasis:
         with pytest.raises(ContradictionError, match="nullspace rank"):
             eigenbasis(DIRICHLET, G1, 1)
 
+    def test_double_zero_level(self):
+        # U fixes (1, 1) and takes (1, -1) to mu (1, -1), mu = (l/2 + i L0) / (l/2 - i L0):
+        # both x and 1 meet the conditions, a zero level of multiplicity 2
+        p = make_u2(1.1071487177940906, 0.4472135954999578, -0.8944271909999157j)
+        basis = eigenbasis(p, BoxGeometry(l=1.0), 2)
+        assert [(lv.sector, lv.multiplicity, len(modes)) for lv, modes in basis] == [
+            ("zero", 2, 2), ("positive", 1, 1)]
+        m1, m2 = basis[0][1]
+        assert abs(mode_inner(m1, m2, G1)) < 1e-12
+        assert all(boundary_residual(m, p, G1) < 1e-12 for m in (m1, m2))
+
+    @pytest.mark.parametrize(
+        "p", [make_u2(0.0, 1.0, 0.0, 1e-15), make_u2(0.0, -1.0, 0.0, 1e12)], ids=["U=I", "U=-I"]
+    )
+    def test_rank_at_scale_free_walls_of_any_L0(self, p):
+        # at U = +-I the boundary matrix is 2i L0 Psi' or -2 Psi, so a simple
+        # level keeps rank 1 however small or large L0 is
+        basis = eigenbasis(p, G1, 3)
+        assert [len(modes) for _, modes in basis] == [lv.multiplicity for lv, _ in basis] == [1, 1, 1]
+        for lv, modes in basis:
+            for m in modes:
+                assert mode_inner(m, m, G1).real == pytest.approx(1.0, abs=1e-12)
+                assert boundary_residual(m, p, G1) < 1e-12
+
 
 def _ref_basis(sector, k):
     if sector == "zero":

@@ -19,6 +19,7 @@ from pointspec import (
     zero_mode_condition,
     zero_mode_exists,
 )
+from pointspec.spectral import negative_search_ceiling
 from helpers import fingerprint_pair, haar_point
 
 RNG = np.random.default_rng(20240812)
@@ -190,6 +191,42 @@ class TestSpectrum:
     def test_levels_validation(self):
         with pytest.raises(ConstraintError):
             spectrum(DIRICHLET, G1, 0)
+
+    def test_near_zero_bound_state_is_the_zero_level(self):
+        # zero-mode condition +5e-10: the bound state at kappa l = 2.5e-5 is
+        # the zero mode's shadow, listed once, as the zero level
+        p = make_u2(0.3, 0.935336488125606, complex(0.1783341170457029, -0.30552020666133956))
+        assert 0.0 < zero_mode_condition(p, G1) < 1e-9
+        assert find_negative_roots(p, G1)[0][0] < 1e-3
+        spec = spectrum(p, G1, 3)
+        assert [lv.sector for lv in spec.levels] == ["zero", "positive", "positive"]
+        assert spec.levels[1].parameter > 1.0
+
+    @pytest.mark.parametrize("L0", [1e10, 1e50])
+    def test_dirichlet_box_has_no_zero_level_at_large_L0(self, L0):
+        # at U = -I the zero-mode condition is l / L0, below the tolerance
+        # here, but the Dirichlet box has no state near zero energy
+        p = make_u2(0.0, -1.0, 0.0, L0)
+        assert zero_mode_exists(p, G1)
+        spec = spectrum(p, G1, 3)
+        assert [lv.sector for lv in spec.levels] == ["positive"] * 3
+        assert spec.energies() == pytest.approx([(n * math.pi) ** 2 for n in (1, 2, 3)], rel=1e-12)
+
+    def test_count_holds_down_to_the_L0_floor(self):
+        # the level count stays exact at L0 / l = 1e-140 and is refused below
+        spec = spectrum(make_u2(0.0, 1.0, 0.0, 1e-140), G1, 3)
+        assert [lv.sector for lv in spec.levels] == ["zero", "positive", "positive"]
+        assert [lv.parameter for lv in spec.levels[1:]] == pytest.approx([math.pi, 2 * math.pi], rel=1e-12)
+        for L0 in (9e-141, 1e-158, 1e-200):
+            with pytest.raises(ConstraintError, match="outside the supported range"):
+                spectrum(make_u2(0.0, 1.0, 0.0, L0), G1, 3)
+        # the negative window stays where a bracket's a * b is a float
+        rng = np.random.default_rng(140)
+        for lam in (1e-140, 1e100):
+            for _ in range(20):
+                p = haar_point(rng, L0=lam)
+                assert negative_search_ceiling(p, G1) <= 32.0 * max(10.0, 4.0 / lam, 4.0 * lam)
+                spectrum(p, G1, 3)
 
 
 class TestSpectra:
