@@ -377,13 +377,13 @@ def _cmd_kernel_compare(cfg):
     a, b = np.meshgrid(points, points, indexing="ij", sparse=True)
     # image terms first: a point without a closed image sum fails before any solve
     images = [kernels.images_needed(g, tau) for tau in taus]
-    terms = [kernels.build_image_terms(p, g, n_img) for n_img in images]
+    terms = kernels.build_image_terms(p, g, max(images))
     needs = [kernels.spectral_levels_needed(p, g, tau) for tau in taus]
     basis = eigenbasis(p, g, max(needs))
+    s_vals = kernels.spectral_heat_kernel(basis, g, a, b, taus, tol=1e-9, n_levels=needs)
+    i_vals = kernels.image_heat_kernel(terms, a, b, taus, images)
     results = []
-    for tau, n_img, tau_terms, n_lev in zip(taus, images, terms, needs):
-        s_val = kernels.spectral_heat_kernel(basis[:n_lev], g, a, b, tau, tol=1e-9)
-        i_val = kernels.image_heat_kernel(tau_terms, a, b, tau, n_img)
+    for tau, n_img, n_lev, s_val, i_val in zip(taus, images, needs, s_vals, i_vals):
         worst = float(np.max(np.abs(s_val - i_val)))
         bound = KERNEL_BOUND * kernels.gaussian_prefactor(g, tau)
         results.append(

@@ -133,6 +133,9 @@ class ScaleInvariantCoefficients:
 _EXP_MAX = math.log(sys.float_info.max)
 #: terms of the small-argument moment series; the first one left out, z**20 / 20!, is below 1e-18
 _SERIES_TERMS = 20
+#: _SERIES[n, j] = 1 / (j! (n + j + 1)), the coefficient of z**j in the moment series of x**n
+_SERIES = np.array([[1.0 / (math.factorial(j) * (n + j + 1)) for j in range(_SERIES_TERMS)]
+                    for n in range(3)])
 #: the array core lets a product overflow to inf quietly, as Python arithmetic does
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
@@ -178,9 +181,9 @@ def _moments(n, nu, l):
     # the closed form divides a cancellation by nu up to three times, so for
     # |z| <= 1 use the series sum_j z**j / (j! (n + j + 1)), by Horner's rule
     small = np.abs(z) <= 1.0
-    series = 0.0
+    coef, series = _SERIES[n], 0.0
     for j in range(_SERIES_TERMS - 1, -1, -1):
-        series = series * z + 1.0 / (math.factorial(j) * (n + j + 1))
+        series = series * z + coef[..., j]
     series = l ** (n + 1) * series
     nu = np.where(small, 1.0, nu)
     e = np.exp(np.where(small, 0.0, z))

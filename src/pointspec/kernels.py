@@ -119,6 +119,30 @@ def _check_positions(g: BoxGeometry, a, b):
     return a, b
 
 
+def _times(tau):
+    """Times as a list of positive floats, and whether `tau` was one time, not a sequence."""
+    one = np.ndim(tau) == 0
+    times = [tau_value(t) for t in ([tau] if one else tau)]
+    if not times:
+        raise ConstraintError("need at least one Euclidean time")
+    return times, one
+
+
+def _per_time(count, times) -> list:
+    """One count per time: a sequence matching the times, or one count for all of them."""
+    if np.ndim(count) == 0:
+        return [count] * len(times)
+    if len(count) != len(times):
+        raise ConstraintError(f"{len(count)} counts for {len(times)} Euclidean times")
+    return list(count)
+
+
+def _by_time(values: list, one: bool):
+    """The per-time values stacked on a leading time axis, or the only one of a single time."""
+    out = values[0] if one else np.stack(values)
+    return complex(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # spectral representation
 # ---------------------------------------------------------------------------
@@ -131,6 +155,7 @@ def spectral_heat_kernel(
     b: float | np.ndarray,
     tau,
     tol: float = 1e-10,
+    n_levels=None,
 ) -> complex | np.ndarray:
     """Truncated spectral sum sum_n exp(-E_n tau/hbar) psi_n(b) psi_n*(a).
 
@@ -144,26 +169,41 @@ def spectral_heat_kernel(
     on time-reversal-invariant boundary points, but genuinely complex on a
     twisted circle, whose winding paths carry phases.
 
-    Raises TailBoundError when the basis is too short for the requested
-    tolerance `tol`, measured relative to the free-kernel prefactor: the
-    neglected tail is bounded by the level density l/pi per branch times
-    the Gaussian weight beyond the largest retained momentum.
+    `tau` is one time or a 1-D sequence of times; a sequence puts the times
+    on a new leading axis of the result.  `n_levels` truncates each time's
+    sum to the level prefix `basis[:n]`: one count for every time, or a
+    sequence matching `tau`; the default is the whole basis.  The modes are
+    evaluated once per endpoint array, in one `mode_values` call for all
+    times, and each time sums its own prefix of them.
+
+    Raises TailBoundError when a time's prefix is too short for the
+    requested tolerance `tol`, measured relative to the free-kernel
+    prefactor: the neglected tail is bounded by the level density l/pi per
+    branch times the Gaussian weight beyond the largest retained momentum.
     """
-    t = tau_value(tau)
+    times, one = _times(tau)
     a, b = _check_positions(g, a, b)
-    k_top = max((lv.parameter for lv, _ in basis if lv.sector == SECTOR_POSITIVE), default=0.0)
-    c = g.hbar * t / (2.0 * g.mass)
-    if k_top <= 0.0 or 8.0 * math.erfc(k_top * math.sqrt(c)) > tol:
-        raise TailBoundError(
-            f"a basis of {len(basis)} levels leaves a spectral tail above {tol}"
-        )
-    modes = [m for _, level_modes in basis for m in level_modes]
+    counts = _per_time(len(basis) if n_levels is None else n_levels, times)
+    sizes = []
+    for t, n in zip(times, counts):
+        levels = basis[:n]
+        k_top = max((lv.parameter for lv, _ in levels if lv.sector == SECTOR_POSITIVE), default=0.0)
+        c = g.hbar * t / (2.0 * g.mass)
+        if k_top <= 0.0 or 8.0 * math.erfc(k_top * math.sqrt(c)) > tol:
+            raise TailBoundError(
+                f"a basis of {len(levels)} levels leaves a spectral tail above {tol}"
+            )
+        sizes.append(sum(len(level_modes) for _, level_modes in levels))
+    levels = basis[:max(counts)]
+    modes = [m for _, level_modes in levels for m in level_modes]
+    energy = -np.array([lv.energy for lv, level_modes in levels for _ in level_modes])
     # modes on a trailing axis, summed elementwise: a BLAS contraction spent
     # milliseconds per call waking OpenBLAS threads (2 cores), more than the sum
-    w = np.exp(-np.array([lv.energy for lv, level_modes in basis for _ in level_modes]) * t / g.hbar)
-    psi_a, psi_b = (mode_values(modes, x)[0] for x in (a, b))
-    out = np.sum(w * psi_b * np.conj(psi_a), axis=-1)
-    return complex(out) if out.ndim == 0 else out
+    psi_b, psi_a = mode_values(modes, b)[0], np.conj(mode_values(modes, a)[0])
+    return _by_time([
+        np.sum(np.exp(energy[:m] * t / g.hbar) * psi_b[..., :m] * psi_a[..., :m], axis=-1)
+        for t, m in zip(times, sizes)
+    ], one)
 
 
 def spectral_levels_needed(p: U2Params, g: BoxGeometry, tau) -> int:
@@ -193,39 +233,57 @@ def image_heat_kernel(
     a: float | np.ndarray,
     b: float | np.ndarray,
     tau,
-    n_images: int,
+    n_images,
     tol: float = 1e-12,
 ) -> complex | np.ndarray:
     """Evaluate an image term list at Euclidean time, truncated at |nu| <= n_images.
 
     The endpoints `a` and `b` are numbers or arrays that broadcast together;
     numbers give a complex, arrays a complex array of the broadcast shape.
+    `tau` is one time or a 1-D sequence of times, and `n_images` one count
+    for every time or a sequence matching `tau`; a sequence of times puts
+    them on a new leading axis of the result.  One term list, built for the
+    largest count, serves every time: the weight, mirror and shift arrays
+    and the displacements are made once, and each time sums the terms
+    inside its own cut |shift| <= n_images l.
     Complex-valued in general (winding weights carry phases), Hermitian in
     the endpoints.  The neglected tail is bounded by the Gaussian weight of
-    the nearest omitted displacement; TailBoundError is raised when that
-    bound exceeds `tol` (relative to the free-kernel prefactor).
+    the nearest omitted displacement, with the largest weight among the
+    terms inside the cut (for a list from `build_image_terms`, the largest
+    of `build_image_terms(p, g, n_images)`); TailBoundError is raised when
+    that bound exceeds `tol` (relative to the free-kernel prefactor).
     """
-    t = tau_value(tau)
+    times, one = _times(tau)
     g = terms.geometry
     a, b = _check_positions(g, a, b)
-    if n_images < 2:
-        raise TailBoundError("need at least two image shells")
-    cut = n_images * g.l * (1.0 + 1e-12)
-    used = [tm for tm in terms.terms if abs(tm.shift) <= cut]
-    if not used:
-        raise TailBoundError("term list is empty inside the requested image range")
-    tail = _image_tail(g, t, n_images, max(abs(tm.weight) for tm in terms.terms))
-    if tail > tol:
-        raise TailBoundError(
-            f"n_images = {n_images} leaves an image tail bound {tail:.3e} above {tol}"
-        )
-    w = np.array([tm.weight for tm in used], dtype=complex)
-    mirror = np.array([tm.kind == _MIRROR for tm in used])
-    shift = np.array([tm.shift for tm in used], dtype=float)
-    d = np.where(mirror, (b + a)[..., None], (b - a)[..., None]) + shift
-    s = np.sum(w * np.exp(-g.mass * d * d / (2.0 * g.hbar * t)), axis=-1)
-    out = gaussian_prefactor(g, t) * s
-    return complex(out) if out.ndim == 0 else out
+    counts = _per_time(n_images, times)
+    w = np.array([tm.weight for tm in terms.terms], dtype=complex)
+    shift = np.array([tm.shift for tm in terms.terms], dtype=float)
+    used = []
+    for t, n in zip(times, counts):
+        if n < 2:
+            raise TailBoundError("need at least two image shells")
+        inside = np.abs(shift) <= n * g.l * (1.0 + 1e-12)
+        if not inside.any():
+            raise TailBoundError("term list is empty inside the requested image range")
+        tail = _image_tail(g, t, n, float(np.max(np.abs(w[inside]))))
+        if tail > tol:
+            raise TailBoundError(
+                f"n_images = {n} leaves an image tail bound {tail:.3e} above {tol}"
+            )
+        used.append(inside)
+    # the terms inside the largest cut, and each time's share of them
+    keep = np.logical_or.reduce(used)
+    mirror = np.array([tm.kind == _MIRROR for tm in terms.terms])[keep]
+    d = np.where(mirror, (b + a)[..., None], (b - a)[..., None]) + shift[keep]
+    q = -g.mass * d * d
+    values = []
+    for t, inside in zip(times, used):
+        # compress, unlike a boolean index, keeps the terms on the contiguous
+        # last axis, so each time is summed in the order of a one-time call
+        gauss = np.exp(np.compress(inside[keep], q, axis=-1) / (2.0 * g.hbar * t))
+        values.append(gaussian_prefactor(g, t) * np.sum(w[inside] * gauss, axis=-1))
+    return _by_time(values, one)
 
 
 def images_needed(g: BoxGeometry, tau, tol: float = 1e-12) -> int:

@@ -263,10 +263,12 @@ class TestKernelCompareGrid:
         xs = [g.l * i / 8 for i in range(9)]
         exact = kernels.image_heat_kernel
 
-        def planted(terms, a, b, tau, n_images):
+        def planted(terms, a, b, taus, n_images):
+            # the CLI calls the kernel once, with every time on a leading axis
             at = (np.asarray(a) == xs[i]) & (np.asarray(b) == xs[j])
-            return exact(terms, a, b, tau, n_images) + np.where(
-                at, 1e-10 * gaussian_prefactor(g, tau), 0.0)
+            pref = np.array([gaussian_prefactor(g, tau) for tau in taus])
+            return exact(terms, a, b, taus, n_images) + np.where(
+                at, 1e-10 * pref[:, None, None], 0.0)
 
         monkeypatch.setattr(kernels, "image_heat_kernel", planted)
         code, text = run(tmp_path, "kernel-compare", *args, "--grid", "9")

@@ -257,6 +257,59 @@ class TestArrayKernels:
             image_heat_kernel(empty, xs, xs, _tau(0.1), 4)
 
 
+class TestManyTimes:
+    # one call with the times on a leading axis, against one call per time
+    XS = np.linspace(0.0, G1.l, 9)
+    TAUS = [_tau(th) for th in (0.02, 0.1, 0.5, 2.0)]
+
+    @pytest.mark.parametrize("p", [ARRAY_POINTS["sphere"], PERIODIC], ids=["sphere", "pole-minus"])
+    def test_equals_one_time_calls(self, p):
+        images = [images_needed(G1, tau) for tau in self.TAUS]
+        needs = [spectral_levels_needed(p, G1, tau) for tau in self.TAUS]
+        basis = eigenbasis(p, G1, max(needs))
+        if p is PERIODIC:  # the Im beta = -1 pole: every level above zero carries two modes
+            assert all(len(modes) == 2 for lv, modes in basis if lv.sector == "positive")
+        terms = build_image_terms(p, G1, max(images))
+        a, b = np.meshgrid(self.XS, self.XS, indexing="ij", sparse=True)
+        s_val = spectral_heat_kernel(basis, G1, a, b, self.TAUS, tol=1e-9, n_levels=needs)
+        i_val = image_heat_kernel(terms, a, b, self.TAUS, images)
+        assert s_val.shape == i_val.shape == (4, 9, 9)
+        for tau, n_lev, n_img, s, i in zip(self.TAUS, needs, images, s_val, i_val):
+            tol = 1e-12 * gaussian_prefactor(G1, tau)
+            s_ref = spectral_heat_kernel(basis[:n_lev], G1, a, b, tau, tol=1e-9)
+            i_ref = image_heat_kernel(build_image_terms(p, G1, n_img), a, b, tau, n_img)
+            assert np.max(np.abs(s - s_ref)) <= tol
+            assert np.max(np.abs(i - i_ref)) <= tol
+
+    def test_shapes_and_shared_counts(self):
+        p = ARRAY_POINTS["sphere"]
+        # one count for every time: images for the longest, levels for the shortest
+        n_img = images_needed(G1, self.TAUS[-1])
+        terms = build_image_terms(p, G1, n_img)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, self.TAUS[0]))
+        for kernel in (lambda taus: spectral_heat_kernel(basis, G1, 0.3, 0.7, taus),
+                       lambda taus: image_heat_kernel(terms, 0.3, 0.7, taus, n_img)):
+            assert kernel(self.TAUS).shape == (4,)
+            assert kernel(self.TAUS[1:2])[0] == kernel(self.TAUS[1])
+            with pytest.raises(ConstraintError):
+                kernel([])
+        with pytest.raises(ConstraintError):
+            spectral_heat_kernel(basis, G1, 0.3, 0.7, self.TAUS, n_levels=[len(basis)] * 3)
+
+    def test_a_short_time_still_raises(self):
+        p = ARRAY_POINTS["sphere"]
+        short, long_ = _tau(0.02), _tau(2.0)
+        basis = eigenbasis(p, G1, spectral_levels_needed(p, G1, short))
+        spectral_heat_kernel(basis[:3], G1, self.XS, self.XS, [long_])
+        with pytest.raises(TailBoundError):
+            spectral_heat_kernel(basis[:3], G1, self.XS, self.XS, [long_, short])
+        with pytest.raises(TailBoundError):
+            spectral_heat_kernel(basis, G1, self.XS, self.XS, [long_, short], n_levels=[len(basis), 3])
+        terms = build_image_terms(p, G1, 40)
+        with pytest.raises(TailBoundError):
+            image_heat_kernel(terms, self.XS, self.XS, [short, _tau(5.0)], [images_needed(G1, short), 2])
+
+
 class TestBuildImageTerms:
     def test_dirichlet_weights(self):
         terms = build_image_terms(DIRICHLET, G1, 2)
