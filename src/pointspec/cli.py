@@ -81,22 +81,25 @@ _REPEATABLE = {"tau", "sweep"}
 
 
 def _json_text(payload) -> str:
-    """payload as JSON text, written in one walk and joined once.
+    """payload as JSON text, written in one walk, joined once and formatted once.
 
     Types are matched exactly, float first; a numpy scalar is written as the
     Python scalar .item() gives, and any other type is a ConstraintError.
+    The walk writes a %.17g placeholder for each real and collects the reals,
+    so text from keys and strings has its % doubled.
     """
-    chunks = []
-    put = chunks.append
+    chunks, reals = [], []
+    put, real = chunks.append, reals.append
 
     def write(obj, pad):
         t = type(obj)
         if t is float:
-            put("%.17g" % obj)
+            put("%.17g")
+            real(obj)
         elif t is dict:
             inner, sep = pad + "  ", "{\n"
             for key, value in obj.items():
-                put(f'{sep}{inner}"{key}": ')
+                put(f'{sep}{inner}"{key}": '.replace("%", "%%"))
                 write(value, inner)
                 sep = ",\n"
             put(f"\n{pad}}}" if obj else "{}")
@@ -109,9 +112,10 @@ def _json_text(payload) -> str:
             put(f"\n{pad}]" if obj else "[]")
         elif t is complex:
             inner = pad + "  "
-            put(f'{{\n{inner}"re": {obj.real:.17g},\n{inner}"im": {obj.imag:.17g}\n{pad}}}')
+            put(f'{{\n{inner}"re": %.17g,\n{inner}"im": %.17g\n{pad}}}')
+            reals.extend((obj.real, obj.imag))
         elif t is str:
-            put('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+            put('"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("%", "%%") + '"')
         elif t is bool:
             put("true" if obj else "false")
         elif t is int:
@@ -124,7 +128,7 @@ def _json_text(payload) -> str:
             raise ConstraintError(f"cannot serialize {t.__name__}")
 
     write(payload, "")
-    return "".join(chunks)
+    return "".join(chunks) % tuple(reals)
 
 
 def _cells(value) -> tuple:
@@ -342,27 +346,22 @@ def _cmd_eigenstate(cfg):
     basis = eigenbasis(p, g, cfg["levels"])
     residuals, norms = residuals_and_norms([m for _, modes in basis for m in modes], p, g)
     checks = zip(residuals.tolist(), norms.tolist())
-    entries = []
-    rows = []
-    for i, (lv, modes) in enumerate(basis):
-        level = _level_dict(lv)
-        mode_payload = []
-        for m, (residual, norm) in zip(modes, checks):
-            entry = {
-                "coeff_a": m.coeff_a,
-                "coeff_b": m.coeff_b,
-                "boundary_residual": residual,
-                "norm": norm,
-            }
-            mode_payload.append(entry)
-            rows.append({"index": i, **level, **entry})
-        entries.append({**level, "modes": mode_payload})
+    levels = [
+        (_level_dict(lv), [
+            {"coeff_a": m.coeff_a, "coeff_b": m.coeff_b, "boundary_residual": residual, "norm": norm}
+            for m, (residual, norm) in zip(modes, checks)
+        ])
+        for lv, modes in basis
+    ]
     payload = {
         "command": "eigenstate",
         "point": _point_dict(p),
         "geometry": _geometry_dict(g),
-        "levels": entries,
+        "levels": [{**level, "modes": modes} for level, modes in levels],
     }
+    rows = [
+        {"index": i, **level, **m} for i, (level, modes) in enumerate(levels) for m in modes
+    ] if cfg["format"] == "csv" else []
     _emit(payload, rows, cfg)
     return 0
 

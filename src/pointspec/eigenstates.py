@@ -180,17 +180,21 @@ def _moments(n, nu, l):
         raise OverflowError("math range error")
     # the closed form divides a cancellation by nu up to three times, so for
     # |z| <= 1 use the series sum_j z**j / (j! (n + j + 1)), by Horner's rule
+    n, nu, z = np.broadcast_arrays(n, nu, z)
+    out = np.empty(z.shape, np.result_type(z, 1.0))
     small = np.abs(z) <= 1.0
-    coef, series = _SERIES[n], 0.0
+    big = ~small
+    m, zs = n[small], z[small]
+    coef, series = _SERIES[m], 0.0
     for j in range(_SERIES_TERMS - 1, -1, -1):
-        series = series * z + coef[..., j]
-    series = l ** (n + 1) * series
-    nu = np.where(small, 1.0, nu)
-    e = np.exp(np.where(small, 0.0, z))
+        series = series * zs + coef[..., j]
+    out[small] = l ** (m + 1) * series
+    m, nu, e = n[big], nu[big], np.exp(z[big])
     total = (e - 1.0) / nu
     for j in (1, 2):  # integration by parts
-        total = np.where(n >= j, (l**j * e - j * total) / nu, total)
-    return np.where(small, series, total)
+        total = np.where(m >= j, (l**j * e - j * total) / nu, total)
+    out[big] = total
+    return out
 
 
 # A batch of modes is a triple (power, rate, c) of arrays: the basis of each

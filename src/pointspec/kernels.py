@@ -236,7 +236,11 @@ def image_heat_kernel(
     n_images,
     tol: float = 1e-12,
 ) -> complex | np.ndarray:
-    """Evaluate an image term list at Euclidean time, truncated at |nu| <= n_images.
+    """Evaluate an image term list at Euclidean time, truncated at |shift| <= n_images l.
+
+    The cut is |nu| <= n_images on the nu l lattice of the scale-invariant
+    sphere and |nu| <= n_images / 2 on the 2 nu l lattice of the separated
+    walls.
 
     The endpoints `a` and `b` are numbers or arrays that broadcast together;
     numbers give a complex, arrays a complex array of the broadcast shape.
@@ -323,6 +327,8 @@ def build_image_terms(p: U2Params, g: BoxGeometry, n_images: int) -> KernelTermL
     Covered cases:
       * separated points whose Robin lengths are both 0 or infinite (the four
         scale-free wall pairs), with displacements on the 2 nu l lattice;
+        `image_heat_kernel` sums |shift| <= n_images l of them, that is
+        |nu| <= n_images / 2, though |nu| <= n_images are built;
       * the scale-invariant sphere, with winding weights l*C_nu on the direct
         family and -l*D_nu on the mirror family over the nu l lattice; at the
         doubly degenerate poles Im(beta) = -+1 the mirror weights vanish and

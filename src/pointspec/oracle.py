@@ -123,7 +123,9 @@ def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
     H, OPinv = _shift_invert(p, g, cfg.n_points, sigma)
     # seeded for reproducible output; a constant vector misses odd modes of a symmetric box
     v0 = np.random.default_rng(0).standard_normal(cfg.n_points)
-    # a relative tol of 1e-10 lies far below the grid's O(h^2) error
+    # ARPACK's tol is relative to the shift-inverted eigenvalue 1 / (E - sigma),
+    # so a level carries up to about 1e-10 |E - sigma| of solver error: far
+    # below the grid's O(h^2) error near a shallow shift, not at a deep one
     try:
         vals = eigs(H, k=min(n_levels + 2, cfg.n_points - 2), sigma=sigma, which="LM", v0=v0,
                     tol=1e-10, return_eigenvectors=False, maxiter=5000, OPinv=OPinv)

@@ -508,11 +508,20 @@ def _negative_ceilings(P):
 
 
 def _negative_roots(P, l):
-    """(kappa, multiplicity) of every negative level of each point within its window."""
-    x = np.stack([np.full(P.shape[1], _FLOOR), _negative_ceilings(P)], axis=1)
-    C = _count(_NEGATIVE, x, P[:, :, None]).astype(int)
-    roots = _states(_NEGATIVE, x, C, P)
-    return [[(v / l, m) for v, m in r] for r in roots]
+    """(kappa, multiplicity) of every negative level of each point within its window.
+
+    A point whose count at the window's lower end _FLOOR is 0 has no bound
+    state, and its window is not searched.
+    """
+    roots = [[] for _ in range(P.shape[1])]
+    bound = np.flatnonzero(_count(_NEGATIVE, _FLOOR, P))
+    if len(bound):
+        Q = P[:, bound]
+        x = np.stack([np.full(len(bound), _FLOOR), _negative_ceilings(Q)], axis=1)
+        C = _count(_NEGATIVE, x, Q[:, :, None]).astype(int)
+        for i, r in zip(bound.tolist(), _states(_NEGATIVE, x, C, Q)):
+            roots[i] = [(v / l, m) for v, m in r]
+    return roots
 
 
 # ---------------------------------------------------------------------------

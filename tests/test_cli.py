@@ -1,4 +1,6 @@
 import cmath
+import csv
+import io
 import json
 import math
 import os
@@ -166,6 +168,29 @@ class TestEigenstateCommand:
             coeff = [complex(m[k]["re"], m[k]["im"]) for k in ("coeff_a", "coeff_b")]
             modes.append(Mode("negative", level["parameter"], *coeff))
         assert abs(mode_inner(modes[0], modes[1], g)) <= 1e-9
+
+
+    def test_csv_rows_carry_the_json_modes(self, tmp_path):
+        # the Im beta = +1 pole: every level is doubly degenerate
+        args = ["eigenstate", "--xi", repr(math.pi / 2), "--alpha-re", "0", "--beta-im", "1", "--levels", "3"]
+        code, text = run(tmp_path, *args)
+        assert code == 0
+        levels = json.loads(text)["levels"]
+        assert [lv["multiplicity"] for lv in levels] == [2, 2, 2]
+        code, text = run(tmp_path, *args, "--format", "csv", name="out.csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        expected = [(i, lv, m) for i, lv in enumerate(levels) for m in lv["modes"]]
+        assert len(rows) == len(expected) == 6
+        for row, (i, lv, m) in zip(rows, expected):
+            assert int(row["index"]) == i and row["sector"] == lv["sector"]
+            assert int(row["multiplicity"]) == lv["multiplicity"]
+            for key in ("parameter", "energy"):
+                assert float(row[key]) == lv[key]
+            for key in ("coeff_a", "coeff_b"):
+                assert float(row[f"{key}_re"]) == m[key]["re"] and float(row[f"{key}_im"]) == m[key]["im"]
+            for key in ("boundary_residual", "norm"):
+                assert float(row[key]) == m[key]
 
 
 class TestKernelCompareCommand:
@@ -564,6 +589,7 @@ GOLDEN_PAYLOAD = {
     "tiny": 1e-300, "huge": 1e300, "np_float": np.float64(2.5),
     "complex": complex(1.5, -0.25), "np_complex": np.complex128(-1 + 2j),
     "text": 'say "hi" \\ bye',
+    "100% %s key": "50% off, %.17g %% %(x)s",
     "empty_dict": {}, "empty_list": [], "tuple": (1, 0.5),
     "nested": {"a": [{"b": [1, {"c": None}]}]},
 }
@@ -590,6 +616,7 @@ GOLDEN_JSON = r"""{
     "im": 2
   },
   "text": "say \"hi\" \\ bye",
+  "100% %s key": "50% off, %.17g %% %(x)s",
   "empty_dict": {},
   "empty_list": [],
   "tuple": [
@@ -634,6 +661,7 @@ class TestSerialization:
         doc = json.loads(GOLDEN_JSON)
         assert doc["pi"] == math.pi and doc["tenth"] == 0.1 and doc["huge"] == 1e300
         assert doc["text"] == GOLDEN_PAYLOAD["text"]
+        assert doc["100% %s key"] == GOLDEN_PAYLOAD["100% %s key"]
 
     def test_golden_csv(self, capsys):
         # complex columns split into _re/_im, None is an empty cell

@@ -611,3 +611,35 @@ class TestModeInnerSmallArguments:
                     ref = complex(mp.quad(integrand, [0, self.L], method="gauss-legendre"))
                 got = complex(eigenstates._moments(np.array(n), np.array(nu), self.L))
                 assert abs(got - ref) <= 1e-14 * abs(ref), (angle, s)
+
+    @staticmethod
+    def _whole_array_moments(n, nu, l):
+        # the reference: both forms on every entry, np.where choosing between them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            z = nu * l
+            small = np.abs(z) <= 1.0
+            coef, series = eigenstates._SERIES[n], 0.0
+            for j in range(eigenstates._SERIES_TERMS - 1, -1, -1):
+                series = series * z + coef[..., j]
+            series = l ** (n + 1) * series
+            nu = np.where(small, 1.0, nu)
+            e = np.exp(np.where(small, 0.0, z))
+            total = (e - 1.0) / nu
+            for j in (1, 2):
+                total = np.where(n >= j, (l**j * e - j * total) / nu, total)
+            return np.where(small, series, total)
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_moments_match_whole_array_evaluation(self, kind):
+        # a batch mixing |nu l| <= 1 and |nu l| > 1 for n = 0, 1 and 2, shaped as _inner passes it
+        rng = np.random.default_rng(17)
+        n = np.tile([0, 1, 2], 40).reshape(10, 3, 4)
+        size = 10.0 ** rng.uniform(-9, 2, n.shape) / self.L
+        nu = size * (np.exp(1j * rng.uniform(-math.pi, math.pi, n.shape)) if kind is complex
+                     else rng.choice([-1.0, 1.0], n.shape))
+        nu.flat[:4] = 0.0
+        assert (np.abs(nu * self.L) <= 1.0).any() and (np.abs(nu * self.L) > 1.0).any()
+        got = eigenstates._moments(n, nu, self.L)
+        want = self._whole_array_moments(n, nu, self.L)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
