@@ -80,15 +80,21 @@ _REPEATABLE = {"tau", "sweep"}
 # ---------------------------------------------------------------------------
 
 
+def _quoted(text: str) -> str:
+    """text as a JSON string literal, with \\ and " escaped and % doubled."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("%", "%%") + '"'
+
+
 def _json_text(payload) -> str:
     """payload as JSON text, written in one walk, joined once and formatted once.
 
     Types are matched exactly, float first; a numpy scalar is written as the
     Python scalar .item() gives, and any other type is a ConstraintError.
     The walk writes a %.17g placeholder for each real and collects the reals,
-    so text from keys and strings has its % doubled.
+    so text from keys and strings has its % doubled.  Keys are escaped as
+    strings are, once per call for each distinct key.
     """
-    chunks, reals = [], []
+    chunks, reals, keys = [], [], {}
     put, real = chunks.append, reals.append
 
     def write(obj, pad):
@@ -99,7 +105,10 @@ def _json_text(payload) -> str:
         elif t is dict:
             inner, sep = pad + "  ", "{\n"
             for key, value in obj.items():
-                put(f'{sep}{inner}"{key}": '.replace("%", "%%"))
+                q = keys.get(key)
+                if q is None:
+                    q = keys[key] = f"{_quoted(key)}: "
+                put(sep + inner + q)
                 write(value, inner)
                 sep = ",\n"
             put(f"\n{pad}}}" if obj else "{}")
@@ -115,7 +124,7 @@ def _json_text(payload) -> str:
             put(f'{{\n{inner}"re": %.17g,\n{inner}"im": %.17g\n{pad}}}')
             reals.extend((obj.real, obj.imag))
         elif t is str:
-            put('"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("%", "%%") + '"')
+            put(_quoted(obj))
         elif t is bool:
             put("true" if obj else "false")
         elif t is int:

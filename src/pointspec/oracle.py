@@ -9,6 +9,14 @@ psi_1 and psi_{N-1}, so shift-inverted ARPACK solves with H - sigma in O(N),
 by a tridiagonal solve with T - sigma and a Woodbury correction.  The
 eigenvalues' imaginary parts are asserted to be numerical noise.
 
+The default shift sits just below the lowest level.  Only U's attractive
+eigen-directions bind, so the Robin lengths L > 0 of those directions bound
+every bound state in closed form (Kostrykin-Schrader, J. Phys. A 32 (1999)
+595), with the grid's boundary rows folded in; see `_default_shift`.  A
+shift close to the spectrum keeps the shift-inverted values 1 / (E - sigma)
+apart, which ARPACK converges on in fewer restarts, and keeps its relative
+tolerance on them small next to shallow levels.
+
 This discretization shares no code with the transcendental solver and is
 the independent oracle used to validate it.
 """
@@ -22,7 +30,7 @@ import numpy as np
 
 from .errors import ConstraintError, ContradictionError
 from .spectral import BoxGeometry, negative_search_ceiling
-from .u2param import U2Params, to_matrix
+from .u2param import U2Params, direction_lengths, to_matrix
 
 __all__ = ["FdConfig", "fd_spectrum"]
 
@@ -33,8 +41,10 @@ class FdConfig:
 
     n_points is the interior matrix dimension (>= 16).  shift is the
     spectral point the eigensolver inverts around, meant to sit below the
-    lowest level; None selects 1.1 times spectral's negative-root window
-    bound, which is not certified: it can sit above the grid's lowest level.
+    lowest level; None selects 1.1 times the closed-form depth of U's
+    attractive directions on this grid, or of spectral's negative-root
+    window where that is shallower.  The window is not certified, so
+    neither is the default: it can sit above the grid's lowest level.
     """
 
     n_points: int
@@ -45,13 +55,18 @@ class FdConfig:
             raise ConstraintError("n_points must be at least 16")
 
 
+def _grid(g: BoxGeometry, n_points: int):
+    """The grid step h and the hopping t = hbar^2 / (2 m h^2)."""
+    h = g.l / (n_points + 1)
+    return h, g.hbar**2 / (2.0 * g.mass * h * h)
+
+
 def _shift_invert(p: U2Params, g: BoxGeometry, n_points: int, sigma: float):
     """The reduced Hamiltonian H and the solve with H - sigma, as linear operators."""
     from scipy.linalg.lapack import zgttrf, zgttrs
     from scipy.sparse.linalg import LinearOperator
 
-    h = g.l / (n_points + 1)
-    t = g.hbar**2 / (2.0 * g.mass * h * h)
+    h, t = _grid(g, n_points)
     U, eye2 = to_matrix(p), np.eye(2)
     # boundary rows: B (psi_0, psi_N)^t = -i L0 (U+I) (r0, rN)^t with
     # r0 = (4 psi_1 - psi_2)/(2h), rN = (4 psi_{N-1} - psi_{N-2})/(2h)
@@ -93,14 +108,44 @@ def _shift_invert(p: U2Params, g: BoxGeometry, n_points: int, sigma: float):
     return tuple(LinearOperator((n_points, n_points), f, dtype=complex) for f in (apply_h, solve))
 
 
-def _default_shift(p: U2Params, g: BoxGeometry) -> float:
+def _robin_depth(p: U2Params, g: BoxGeometry, n_points: int) -> float:
+    """Closed-form depth -E of the deepest state U's directions bind on the n_points grid.
+
+    With lam the largest 1/L over U's Robin lengths L > 0, every bound state
+    has kappa <= kappa* = lam coth(lam l / 2).  A one-sided boundary row
+    binds psi_j = r^j, r = 2 - sqrt(1 + 2 lam h), at -t (1/r + r - 2), which
+    is deeper than -esc lam^2 by O(lam h).  The depth is the larger of the
+    two; 0 without an attractive direction, and inf at r <= 0, where the
+    grid cannot resolve the wall.
+    """
+    lam = max((1.0 / L for L in direction_lengths(p) if 0.0 < L < math.inf), default=0.0)
+    if lam == 0.0:
+        return 0.0
+    h, t = _grid(g, n_points)
+    root = math.sqrt(1.0 + 2.0 * lam * h)
+    r = 2.0 - root
+    if r <= 0.0:
+        return math.inf
+    kappa = lam / math.tanh(0.5 * lam * g.l)
+    # 1/r + r - 2 = (1 - r)^2 / r, and 1 - r = root - 1 = 2 lam h / (root + 1) without cancellation
+    grid_depth = t * (2.0 * lam * h / (root + 1.0)) ** 2 / r
+    return max(g.hbar**2 / (2.0 * g.mass) * kappa * kappa, grid_depth)
+
+
+def _default_shift(p: U2Params, g: BoxGeometry, n_points: int) -> float:
+    """-1.1 D - E_scale, D the smaller of _robin_depth and spectral's window depth.
+
+    The window term keeps the oracle as blind as spectral to the bound
+    states beyond the window; it can go once that window is a bound.
+    """
     v_max = negative_search_ceiling(p, g)
     kappa_ub = v_max / g.l
     esc = g.hbar**2 / (2.0 * g.mass)
     try:
-        shift = -1.1 * esc * kappa_ub**2 - g.energy_scale
+        window = esc * kappa_ub**2
     except OverflowError:
-        shift = -math.inf
+        window = math.inf
+    shift = -1.1 * min(window, _robin_depth(p, g, n_points)) - g.energy_scale
     if not math.isfinite(shift):
         raise ConstraintError(f"the default shift at kappa = {kappa_ub:.3g} is outside the float range")
     return shift
@@ -119,7 +164,12 @@ def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
         raise ConstraintError("n_levels must be at least 1")
     if n_levels > cfg.n_points // 4:
         raise ConstraintError("n_levels must be far below n_points")
-    sigma = cfg.shift if cfg.shift is not None else _default_shift(p, g)
+    sigma = cfg.shift if cfg.shift is not None else _default_shift(p, g, cfg.n_points)
+    # T - sigma holds 2t - sigma rounded to the ulp of 2t, which moves sigma by
+    # up to eps (N + 1)^2 energy scales: the levels are mapped back from
+    # 1 / (E - sigma) with the shift that was factored, not the one asked for
+    two_t = 2.0 * _grid(g, cfg.n_points)[1]
+    sigma = two_t - (two_t - sigma)
     H, OPinv = _shift_invert(p, g, cfg.n_points, sigma)
     # seeded for reproducible output; a constant vector misses odd modes of a symmetric box
     v0 = np.random.default_rng(0).standard_normal(cfg.n_points)

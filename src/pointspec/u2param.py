@@ -13,8 +13,9 @@ with L0 a fixed reference length.  U is stored in the unique form
     U = exp(i xi) [[alpha, beta], [-conj(beta), conj(alpha)]],
 
 with xi in [0, pi) and |alpha|^2 + |beta|^2 = 1.  This module validates such
-points, classifies them into the physically distinguished subfamilies, and
-converts separated (diagonal) points to their two Robin wall lengths.
+points, classifies them into the physically distinguished subfamilies,
+converts separated (diagonal) points to their two Robin wall lengths, and
+gives the Robin lengths of U's two eigen-directions at any point.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "make_u2",
     "to_matrix",
     "classify",
+    "direction_lengths",
     "separated_lengths",
     "twist_angle",
 ]
@@ -184,6 +186,19 @@ def separated_lengths(p: U2Params, tol: float = CLASSIFY_TOL) -> SeparatedLength
         l_plus=_cot_length(0.5 * (p.xi + phi), p.L0),
         l_minus=_cot_length(0.5 * (p.xi - phi), p.L0),
     )
+
+
+def direction_lengths(p: U2Params) -> tuple[float, float]:
+    """Robin lengths (L+, L-) of U's two eigen-directions, at any point.
+
+    U has eigenvalues exp(i theta+-), theta+- = xi +- arccos(Re alpha).  On
+    the boundary data along an eigenvector the condition reads
+    Psi + L Psi' = 0 with L = L0 cot(theta / 2), snapped to 0 and to
+    INFINITE_LENGTH as in separated_lengths.  A direction with 0 < L < inf
+    is attractive; no other direction binds a state.
+    """
+    phi = math.acos(min(1.0, max(-1.0, p.alpha.real)))
+    return (_cot_length(0.5 * (p.xi + phi), p.L0), _cot_length(0.5 * (p.xi - phi), p.L0))
 
 
 def twist_angle(p: U2Params, tol: float = CLASSIFY_TOL) -> float:

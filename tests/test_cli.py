@@ -590,6 +590,7 @@ GOLDEN_PAYLOAD = {
     "complex": complex(1.5, -0.25), "np_complex": np.complex128(-1 + 2j),
     "text": 'say "hi" \\ bye',
     "100% %s key": "50% off, %.17g %% %(x)s",
+    'a "quoted" \\ key': 1,
     "empty_dict": {}, "empty_list": [], "tuple": (1, 0.5),
     "nested": {"a": [{"b": [1, {"c": None}]}]},
 }
@@ -617,6 +618,7 @@ GOLDEN_JSON = r"""{
   },
   "text": "say \"hi\" \\ bye",
   "100% %s key": "50% off, %.17g %% %(x)s",
+  "a \"quoted\" \\ key": 1,
   "empty_dict": {},
   "empty_list": [],
   "tuple": [
@@ -662,6 +664,7 @@ class TestSerialization:
         assert doc["pi"] == math.pi and doc["tenth"] == 0.1 and doc["huge"] == 1e300
         assert doc["text"] == GOLDEN_PAYLOAD["text"]
         assert doc["100% %s key"] == GOLDEN_PAYLOAD["100% %s key"]
+        assert doc['a "quoted" \\ key'] == 1
 
     def test_golden_csv(self, capsys):
         # complex columns split into _re/_im, None is an empty cell

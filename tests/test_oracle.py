@@ -9,12 +9,15 @@ from pointspec import (
     ConstraintError,
     ContradictionError,
     FdConfig,
+    direction_lengths,
     fd_spectrum,
     make_u2,
+    spectra,
     spectrum,
     to_matrix,
 )
 from pointspec import oracle
+from pointspec.spectral import negative_search_ceiling
 from helpers import haar_point
 
 RNG = np.random.default_rng(20240816)
@@ -103,9 +106,20 @@ class TestEigensolverAccuracy:
         h = G1.l / (n_points + 1)
         t = G1.hbar**2 / (2.0 * G1.mass * h * h)
         j = np.arange(1, 9)
-        exact = 2.0 * t * (1.0 - np.cos(j * math.pi / (n_points + 1)))
+        # 2t (1 - cos x) written without its cancellation, which costs 1e-8 at N = 40000
+        exact = 4.0 * t * np.sin(j * math.pi / (2 * (n_points + 1))) ** 2
         vals = fd_spectrum(DIRICHLET, G1, FdConfig(n_points=n_points), 8)
         assert np.max(np.abs(vals - exact) / exact) <= 1e-8
+
+    def test_default_shift_matches_a_shift_below_the_lowest_level(self):
+        # oracle-fd benchmark point: where the shift sits below the levels moves them by tol only
+        p = make_u2(0.14344562592957516, complex(-0.6688872413649128, 0.5962126183952385),
+                    complex(0.4397302543359999, -0.06129988113469101), 7.036861128273138)
+        g = BoxGeometry(l=1.5217103872897293, hbar=1.0, mass=0.5074474440282601)
+        vals = fd_spectrum(p, g, FdConfig(n_points=40000), 8)
+        shift = vals[0] - max(0.1 * abs(vals[0]), g.energy_scale)
+        ref = fd_spectrum(p, g, FdConfig(n_points=40000, shift=shift), 8)
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 3e-8
 
     def test_repeated_calls_are_bit_identical(self):
         p = haar_point(np.random.default_rng(7), L0=1.0)
@@ -117,6 +131,34 @@ class TestEigensolverAccuracy:
         # 17 points, h = 1/18, t = 18^2: at shift 2t, T - sigma = t (-1, 0, -1), singular for odd N
         with pytest.raises(ContradictionError):
             fd_spectrum(DIRICHLET, G1, FdConfig(n_points=17, shift=2.0 * 18.0**2), 1)
+
+
+class TestDefaultShift:
+    def test_kappa_star_bounds_every_listed_bound_state(self):
+        # Kostrykin-Schrader: only U's attractive directions bind, none deeper than kappa*
+        rng = np.random.default_rng(7)
+        points = [haar_point(rng, L0=10.0 ** rng.uniform(-1.5, 1.5)) for _ in range(2000)]
+        esc = G1.hbar**2 / (2.0 * G1.mass)
+        bound = 0
+        for p, spec in zip(points, spectra(points, G1, 2)):
+            lam = max((1.0 / L for L in direction_lengths(p) if 0.0 < L < math.inf), default=0.0)
+            kappa_star = lam / math.tanh(0.5 * lam * G1.l) if lam else 0.0
+            for lv in spec.levels:
+                if lv.sector == "negative":
+                    bound += 1
+                    # equality up to the root's rounding where one direction binds alone, deep
+                    assert lv.parameter <= kappa_star * (1.0 + 1e-12)
+                    assert esc * lv.parameter**2 <= oracle._robin_depth(p, G1, 40000)
+        assert bound > 500
+
+    def test_window_shift_kept_where_spectral_misses_bound_states(self):
+        # acceptance criterion 9's draws 8 and 10: the oracle sees no deeper than spectral
+        rng = np.random.default_rng(141421)
+        draws = [haar_point(rng, L0=1.0) for _ in range(11)]
+        for p in (draws[8], draws[10]):
+            window = -1.1 * (negative_search_ceiling(p, G1) / G1.l) ** 2 - G1.energy_scale
+            assert oracle._robin_depth(p, G1, 4000) > -window
+            assert oracle._default_shift(p, G1, 4000) == window
 
 
 def _lil_matrix(p, g, n_points):
@@ -151,7 +193,7 @@ class TestAssembly:
     @pytest.mark.parametrize("n_points", [64, 40000])
     @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
     def test_matches_lil_build(self, name, p, n_points):
-        H, _ = oracle._shift_invert(p, G1, n_points, oracle._default_shift(p, G1))
+        H, _ = oracle._shift_invert(p, G1, n_points, oracle._default_shift(p, G1, n_points))
         ref = _lil_matrix(p, G1, n_points)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
@@ -161,7 +203,7 @@ class TestAssembly:
     @pytest.mark.parametrize("n_points", [64, 40000])
     @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
     def test_solve_backward_error(self, name, p, n_points):
-        sigma = oracle._default_shift(p, G1)
+        sigma = oracle._default_shift(p, G1, n_points)
         _, solve = oracle._shift_invert(p, G1, n_points, sigma)
         A = _lil_matrix(p, G1, n_points) - sigma * sp.identity(n_points, format="csc")
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ from pointspec import (
     ConstraintError,
     SubfamilyError,
     classify,
+    direction_lengths,
     make_u2,
     separated_lengths,
     to_matrix,
@@ -231,6 +232,30 @@ class TestSeparatedEquivalence:
             if checked % 2 == 0:
                 assert full < 1e-9 and rb < 1e-9
             checked += 1
+
+
+class TestDirectionLengths:
+    def test_eigen_angles_of_the_matrix(self):
+        # 1/L = tan(theta/2) / L0 over the eigenvalues exp(i theta) of U
+        for _ in range(200):
+            p = haar_point(RNG)
+            theta = np.angle(np.linalg.eigvals(to_matrix(p)))
+            expected = np.sort(np.tan(theta / 2) / p.L0)
+            got = np.sort([1.0 / L for L in direction_lengths(p)])
+            assert got == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
+    def test_separated_points_give_their_wall_lengths(self):
+        for _ in range(200):
+            p = separated_point(RNG)
+            sl = separated_lengths(p)
+            walls = sorted((sl.l_plus, sl.l_minus))
+            assert sorted(direction_lengths(p)) == pytest.approx(walls, rel=1e-9)
+
+    def test_walls_snap(self):
+        assert direction_lengths(make_u2(0.0, -1.0, 0.0)) == (0.0, 0.0)
+        assert direction_lengths(make_u2(0.0, 1.0, 0.0)) == (INFINITE_LENGTH, INFINITE_LENGTH)
+        # the Im beta = +1 pole: a Neumann and a Dirichlet direction
+        assert sorted(direction_lengths(make_u2(math.pi / 2, 0.0, 1j))) == [0.0, INFINITE_LENGTH]
 
 
 class TestTwistAngle:
