@@ -39,16 +39,20 @@ leaves R s as the pencil's one eigenvalue.
 
 A step of the count across a Dirichlet energy u = n pi is a level at exactly
 n pi (a double one at the poles Im beta = +-1).  Every other state is
-isolated in its cell by bisecting on the count and refined on the level
-condition, or bisected on the count where the refined root is rounding
-noise of the condition.  Two states closer than 1e-7 relative are one
-double level, placed at the zero of T.  Bound states are sought in
-[1e-9, `negative_search_ceiling`] only, a heuristic window: deeper ones are
-left out, though the count knows them.  The zero level is listed when the
-zero-mode condition holds and the count finds states within _ZERO_SHADOW_U
-of zero energy; they are then the zero level, with their number as its
-multiplicity, and are listed in neither other sector.  `spectra` solves a batch of points in
-shared array passes; `spectrum` is a batch of one.
+isolated in its cell by bisecting on the count.  A bracket that still spans
+decades (the first Dirichlet cell and the negative window start at the 1e-9
+floor) is narrowed to within a factor 4 by reading the count on a geometric
+grid.  The state is then refined on the level condition by safeguarded
+Newton, with one residual and one slope per step, or bisected on the count
+where the refined root is rounding noise of the condition.  Two states
+closer than 1e-7 relative are one double level, placed at the zero of T.
+Bound states are sought in [1e-9, `negative_search_ceiling`] only, a
+heuristic window: deeper ones are left out, though the count knows them.
+The zero level is listed when the zero-mode condition holds and the count
+finds states within _ZERO_SHADOW_U of zero energy; they are then the zero
+level, with their number as its multiplicity, and are listed in neither
+other sector.  `spectra` solves a batch of points in shared array passes;
+`spectrum` is a batch of one.
 """
 
 from __future__ import annotations
@@ -213,37 +217,32 @@ def zero_mode_exists(p: U2Params, g: BoxGeometry) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dimensionless residuals and their derivatives
+# dimensionless residuals, and their slopes on request
 # ---------------------------------------------------------------------------
 
 
-def _pos_resid(u, lam, s, c1, c2, b_i):
+def _pos_resid(u, lam, s, c1, c2, b_i, slope=False):
+    """The positive residual at u, or (residual, d/du) with slope."""
     ul = u * lam
-    return 2.0 * ul * (b_i + s * np.cos(u)) + (c1 + c2 * ul**2) * np.sin(u)
+    cu, su = np.cos(u), np.sin(u)
+    t, q = b_i + s * cu, c1 + c2 * ul**2
+    f = 2.0 * ul * t + q * su
+    return (f, 2.0 * lam * t + 2.0 * ul * su * (c2 * lam - s) + q * cu) if slope else f
 
 
-def _pos_resid_deriv(u, lam, s, c1, c2, b_i):
-    ul = u * lam
-    return (
-        2.0 * lam * (b_i + s * np.cos(u))
-        - 2.0 * ul * s * np.sin(u)
-        + 2.0 * c2 * lam * ul * np.sin(u)
-        + (c1 + c2 * ul**2) * np.cos(u)
-    )
+def _neg_resid_scaled(v, lam, s, c1, c2, b_i, slope=False):
+    """2 exp(-v) times the negative-level residual; same roots, no overflow.
 
-
-def _neg_resid_scaled(v, lam, s, c1, c2, b_i):
-    """2 exp(-v) times the negative-level residual; same roots, no overflow."""
+    With slope, (that, its d/dv).
+    """
     vl = np.minimum(v * lam, _VL_CLIP)
-    em = np.exp(-v)
-    return 4.0 * vl * b_i * em + 2.0 * vl * s * (1.0 + em * em) - (c1 - c2 * vl**2) * np.expm1(-2.0 * v)
-
-
-def _neg_resid_scaled_deriv(v, lam, s, c1, c2, b_i):
-    vl, em = np.minimum(v * lam, _VL_CLIP), np.exp(-v)
-    em2 = em * em
-    return (4.0 * lam * b_i * em * (1.0 - v) + 2.0 * lam * s * (1.0 + em2) - 4.0 * vl * s * em2
-            + 2.0 * c2 * lam * vl * np.expm1(-2.0 * v) + 2.0 * (c1 - c2 * vl**2) * em2)
+    em, e2 = np.exp(-v), np.expm1(-2.0 * v)
+    q = c1 - c2 * vl**2
+    f = 4.0 * vl * b_i * em + 2.0 * vl * s * (1.0 + em * em) - q * e2
+    if not slope:
+        return f
+    return f, (4.0 * lam * b_i * em * (1.0 - v) + 2.0 * lam * s * (1.0 + em * em) - 4.0 * vl * s * em * em
+               + 2.0 * c2 * lam * vl * e2 + 2.0 * q * em * em)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +271,11 @@ def _pencil_negative(v, lam, s, c1, c2, b_i):
     return 0.0, R, 2.0 * s + c2 * lam * (a + b)
 
 
-#: (pencil, direction, residual variable per unit x, residual, its slope).
+#: (pencil, direction, residual variable per unit x, residual).
 #: Positive x is t = u / pi, and floor t + n+ states lie below it; negative x
 #: is v, and n+ states lie deeper, so -n+ is the count that rises with x
-_POSITIVE = (_pencil_positive, 1, math.pi, _pos_resid, _pos_resid_deriv)
-_NEGATIVE = (_pencil_negative, -1, 1.0, _neg_resid_scaled, _neg_resid_scaled_deriv)
+_POSITIVE = (_pencil_positive, 1, math.pi, _pos_resid)
+_NEGATIVE = (_pencil_negative, -1, 1.0, _neg_resid_scaled)
 
 
 def _count(sector, x, P):
@@ -295,9 +294,11 @@ def _count(sector, x, P):
 # batched root finding: many states of many points in one array pass
 # ---------------------------------------------------------------------------
 
-#: refinement and bisection steps before a bracket counts as stuck; both at
-#: least halve a bracket at every step
+#: refinement and bisection steps before a bracket counts as stuck
 _MAX_STEPS = 200
+#: exponents of the geometric grid that narrows a bracket over decades: 33
+#: points take [1e-9, 70] to cells within a factor 2.2
+_GRID = np.linspace(0.0, 1.0, 33)
 
 
 def _coeffs(points, g: BoxGeometry):
@@ -318,66 +319,54 @@ def _mid(a, b):
     return np.where(b > 4.0 * a, np.sqrt(a * b), 0.5 * (a + b))
 
 
-def _refine(f, df, a, b, fa, fb, P):
+def _refine(f, a, b, fa, fb, P):
     """The root of f in each bracket [a, b] whose ends fa, fb differ in sign.
 
-    Bracketed Newton on every bracket at once.  Each step evaluates f at the
-    iterate x, at x -+ tol, tol = 1e-15 + _ROOT_RTOL |x|, and at the `_mid`
-    point of the bracket, and keeps the tightest sign-change bracket among
-    them and the old ends: the probes step over the residual's rounding
-    noise, and the middle at least halves the bracket at every step.  A
-    bracket at most 2 tol wide is done, and its end with the smaller |f| is
-    the root.  Each iterate is the Newton step from the last, or the secant
-    point of the bracket where that step leaves it (or on the first step);
-    a bracket over decades starts from its arithmetic middle instead.  P
-    holds each bracket's residual parameters.
+    Safeguarded Newton on every bracket at once (`rtsafe`, Numerical Recipes
+    9.4).  Each step makes one call f(x, *P, slope=True), for the residual
+    and its slope at the iterate x, which then replaces the end of the
+    bracket whose residual has its sign.  The next iterate is the Newton
+    point where that lies inside the bracket and the step is at most half
+    the step before last, and the bracket's middle otherwise: the
+    arithmetic one, as `_mid` takes it, for `_solve` hands in brackets
+    within a factor 4.  The first iterate is the secant point.  A Newton
+    step shorter than tol = 1e-15 + _ROOT_RTOL x goes one tol past the
+    Newton point, so that the bracket closes over the root within 2 tol.  A
+    bracket is done once it is at most 2 tol wide, or f vanishes at x, and
+    its end with the smaller |f| is the root.  P holds each bracket's
+    residual parameters.
     """
-    m = len(a)
-    out = np.empty(m)
-    # rows 0-4: a, x - tol, x, x + tol, b; rows 5-9: f at those points; the
-    # bracket's middle and f there, the output slot, then the residual
-    # parameters; finished columns are dropped after each probe
-    s = np.empty((13 + len(P), m))
-    s[0], s[4], s[5], s[9] = a, b, fa, fb
-    s[2] = np.where(b > 4.0 * a, 0.5 * (a + b), a - fa * (b - a) / (fb - fa))
-    s[12], s[13:] = np.arange(m), P
-    cols, P = np.arange(m), tuple(s[13:])
+    out = np.empty(len(a))
+    # rows: a, b, f(a), f(b), the iterate, the Newton step, the last two step
+    # lengths, the output slot, then the residual parameters; finished
+    # columns are dropped
+    s = np.vstack([a, b, fa, fb, a - fa * (b - a) / (fb - fa), a, b - a, b - a, np.arange(len(a)), P])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
-            x = s[2]
-            tol = _ROOT_RTOL * np.abs(x) + 1e-15
-            np.maximum(x - tol, s[0], out=s[1])
-            np.minimum(x + tol, s[4], out=s[3])
-            s[10] = _mid(s[0], s[4])
-            s[_PROBES] = f(s[_AT], *P)
-            width = np.where(s[5:9] * s[6:10] <= 0.0, s[1:5] - s[:4], np.inf)
-            s[_ENDS] = s[width.argmin(axis=0) + _PICK, cols]
-            # the old bracket's middle replaces an end of the new one it falls in
-            k = np.flatnonzero((s[10] > s[0]) & (s[10] < s[4]))
-            end = np.where(s[5, k] * s[11, k] <= 0.0, 4, 0)
-            s[end, k], s[end + 5, k] = s[10, k], s[11, k]
-            a, b, fa, fb = s[0], s[4], s[5], s[9]
-            w = b - a
-            done = w <= 2.0 * tol
+            a, b, fa, fb, x, dx, last, before = s[:8]
+            fx, dfx = f(x, *s[9:], slope=True)
+            np.divide(fx, dfx, out=dx)
+            left = fx * fa > 0.0
+            np.copyto(a, x, where=left)
+            np.copyto(fa, fx, where=left)
+            np.copyto(b, x, where=~left)
+            np.copyto(fb, fx, where=~left)
+            w, tol = b - a, _ROOT_RTOL * x + 1e-15
+            done = (w <= 2.0 * tol) | (fx == 0.0)
             if done.any():
-                out[s[12, done].astype(int)] = np.where(np.abs(fa) <= np.abs(fb), a, b)[done]
+                out[s[8, done].astype(int)] = np.where(np.abs(fa) <= np.abs(fb), a, b)[done]
                 if done.all():
                     return out
-                s, w = s[:, ~done], w[~done]
-                cols, P = cols[: len(w)], tuple(s[13:])
-                a, b, fa, fb = s[0], s[4], s[5], s[9]
-            x = s[2]
-            xn = x - s[7] / df(x, *P)
-            s[2] = np.where((xn > a) & (xn < b), xn, a - fa * w / (fb - fa))
+                s = s.compress(~done, axis=1)
+                a, b, fa, fb, x, dx, last, before = s[:8]
+                w, tol = b - a, _ROOT_RTOL * x + 1e-15
+            step = np.abs(dx)
+            xn = x - np.where(step < tol, dx + np.copysign(tol, dx), dx)
+            newton = (xn > a) & (xn < b) & (step <= 0.5 * before)
+            s[4] = np.where(newton, xn, a + 0.5 * w)
+            s[7] = last
+            s[6] = np.where(newton, step, 0.5 * w)
     raise ContradictionError("root refinement failed to converge")
-
-
-#: rows of _refine's state that hold a, b, f(a), f(b), and their offsets
-#: from the left end of the chosen sign-change interval; the rows that f is
-#: evaluated at each step, and where its values go
-_ENDS = [0, 4, 5, 9]
-_PICK = np.array([[0], [1], [5], [6]])
-_AT, _PROBES = [1, 2, 3, 10], [6, 7, 8, 11]
 
 
 def _rows(start, stop, n):
@@ -417,23 +406,31 @@ def _solve(sector, lo, hi, klo, khi, j, P):
     """(root, multiplicity) of state j of the sector in each bracket [lo, hi] of x.
 
     klo = count(lo) <= j < count(hi) = khi.  The state is isolated on the
-    count, then refined on the residual where that changes sign across the
-    bracket; a refined root at which the count does not pass j is rounding
-    noise of the residual, and such a state is bisected on the count
-    instead.  A bracket that cannot be split holds a double level, placed
+    count, and a bracket still wider than a factor 4 is narrowed on the
+    count read on a geometric grid.  It is then refined on the residual
+    where that changes sign across the bracket; a refined root at which the
+    count does not pass j is rounding noise of the residual, and such a
+    state is bisected on the count instead.  A bracket that cannot be split holds a double level, placed
     where the trace changes sign and returned for both its states.  Roots
     are in the residual's variable, scale * x.
     """
-    pencil, sign, scale, f, df = sector
+    pencil, sign, scale, f = sector
     count = lambda x, Q: _count(sector, x, Q)
     lo, hi, klo, khi = _bisect(count, lo, hi, klo, khi, j, P, isolate=True)
+    # a bracket over decades keeps the cell of a geometric grid in which the count passes j
+    while len(i := np.flatnonzero(hi > 4.0 * lo)):
+        x = lo[i, None] * (hi[i] / lo[i])[:, None] ** _GRID
+        x[:, -1] = hi[i]
+        k = count(x, P[:, i, None])
+        n, r = np.argmax(k > j[i, None], axis=1), np.arange(len(i))
+        lo[i], hi[i], klo[i], khi[i] = x[r, n - 1], x[r, n], k[r, n - 1], k[r, n]
     root = np.empty(len(lo))
     single = khi - klo == 1
     fa, fb = f(scale * np.stack([lo, hi]), *P)
     refined = single & (fa * fb < 0.0)
     i = np.flatnonzero(refined)
     if len(i):
-        root[i] = _refine(f, df, scale * lo[i], scale * hi[i], fa[i], fb[i], P[:, i])
+        root[i] = _refine(f, scale * lo[i], scale * hi[i], fa[i], fb[i], P[:, i])
         below, above = count(root[i] / scale * np.array([[1.0 - _CHECK_RTOL], [1.0 + _CHECK_RTOL]]), P[:, i])
         refined[i] = (below <= j[i]) & (above > j[i])
     i = np.flatnonzero(single & ~refined)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -19,6 +20,7 @@ from pointspec import (
     zero_mode_condition,
     zero_mode_exists,
 )
+from pointspec import spectral
 from pointspec.spectral import negative_search_ceiling
 from helpers import fingerprint_pair, haar_point
 
@@ -566,3 +568,142 @@ class TestRootReference:
                 n_tight += abs(x - y) <= 4 * eps * abs(y)
         assert n_roots > 1500
         assert n_tight >= 0.99 * n_roots
+
+
+# ---------------------------------------------------------------------------
+# 50-digit reference: both level conditions, retyped from the module docstring
+# ---------------------------------------------------------------------------
+
+
+def _mp_conditions(p, g):
+    """The terms of the positive condition in u = k l and of the negative one in v = kappa l.
+
+    The positive condition is the sum of the four terms of
+    2 k L0 (Im beta + sin xi cos kl) + [(cos xi - Re alpha) + (cos xi + Re alpha)(k L0)^2] sin kl;
+    the negative one is the same with k -> -i kappa, times i.
+    """
+    xi, a_r, b_i, lam = (mp.mpf(v) for v in (p.xi, p.alpha.real, p.beta.imag, p.L0 / g.l))
+    s, c1, c2 = mp.sin(xi), mp.cos(xi) - a_r, mp.cos(xi) + a_r
+
+    def pos(u):
+        return (2 * u * lam * b_i, 2 * u * lam * s * mp.cos(u),
+                c1 * mp.sin(u), c2 * (u * lam) ** 2 * mp.sin(u))
+
+    def neg(v):
+        return (2 * v * lam * b_i, 2 * v * lam * s * mp.cosh(v),
+                c1 * mp.sinh(v), -c2 * (v * lam) ** 2 * mp.sinh(v))
+
+    return pos, neg
+
+
+def _mp_errors(p, g, roots):
+    """[(class, x, |x - x50|, spread)] of float roots [(sector, x = k l or kappa l)].
+
+    x50 is the root polished at 50 digits.  Where x is off by more than
+    1e-14 x + 2e-15, spread is eps times the terms of the condition over its
+    slope: how far the condition's rounding alone can move a float root.  It
+    is below 2e-15 except where the terms cancel or the slope nearly
+    vanishes; elsewhere it is 0.
+    """
+    out = []
+    with mp.workdps(50):
+        pos, neg = _mp_conditions(p, g)
+        for sector, x in roots:
+            terms, x0 = pos if sector == "positive" else neg, mp.mpf(x)
+            cond = lambda y: mp.fsum(terms(y))
+            exact = mp.findroot(cond, (x0, x0 * (1 + mp.mpf(1e-12))), verify=False)
+            assert cond(exact * (1 - mp.mpf(1e-40))) * cond(exact * (1 + mp.mpf(1e-40))) <= 0
+            err, spread = float(abs(x0 - exact)), 0.0
+            if err > 1e-14 * x + 2e-15:
+                size = mp.fsum(abs(t) for t in terms(exact))
+                spread = float(np.finfo(float).eps * size / abs(mp.diff(cond, exact)))
+            cls = sector if sector == "negative" else ("first cell" if x < math.pi else "positive")
+            out.append((cls, x, err, spread))
+    return out
+
+
+#: a point at each corner of the narrowed brackets.  The roots near zero
+#: energy sit at a large L0 / l, where the conditions are well conditioned:
+#: near a zero mode their terms cancel instead, and rounding alone moves a
+#: root at x by about eps / x
+_CORNERS = {
+    # a bound state at kappa l = 1.0e-8, just above the 1e-9 floor
+    "floor": make_u2(2.178124478904764, complex(0.8051412837912528, 0.33993809976932116),
+                     complex(-0.3310518874361698, -0.3558008562175558), 3.9307316955765304e16),
+    # a bound state at kappa l = 1.9e6, half the window ceiling 3.8e6
+    "ceiling": make_u2(1.218534686493942, complex(-0.10277456983001426, -0.7942705217956251),
+                       complex(-0.5410330401982224, 0.256622242638142), 4.172131665577771e-06),
+    # first-cell roots at k l = 1.0e-3 and at pi - 3.3e-9
+    "u = 1e-3": make_u2(1.0416131195102187, complex(-0.5336984867285886, -0.6032851883163405),
+                        complex(-0.4603941089350991, 0.37316239263836365), 84260114.46350065),
+    "near pi": make_u2(0.761087991000462, complex(0.4153046006334828, 0.3818395448455495),
+                       complex(0.7473958584137892, -0.3508847125634315), 178237605.49693266),
+}
+
+
+class TestFiftyDigitReference:
+    """Every listed root against the conditions polished at 50 digits."""
+
+    @staticmethod
+    def _check(errors):
+        for cls, x, err, spread in errors:
+            assert err <= 1e-14 * x + 2e-15 + 8.0 * spread, (cls, x, err, spread)
+
+    def test_haar_points(self):
+        rng = np.random.default_rng(1999)
+        points = [haar_point(rng, L0=10.0 ** rng.uniform(-1.5, 1.5)) for _ in range(100)]
+        errors = []
+        for p, spec in zip(points, spectra(points, G1, 12)):
+            errors += _mp_errors(p, G1, [(lv.sector, lv.parameter * G1.l)
+                                         for lv in spec.levels if lv.sector != "zero"])
+        self._check(errors)
+        assert {cls for cls, *_ in errors} == {"first cell", "positive", "negative"}
+
+    @pytest.mark.parametrize("corner", list(_CORNERS))
+    def test_corners(self, corner):
+        p = _CORNERS[corner]
+        roots = [("negative", k * G1.l) for k, _ in find_negative_roots(p, G1)]
+        roots += [("positive", k * G1.l) for k, _ in find_positive_roots(p, G1, math.pi / G1.l)]
+        x = {"floor": min, "ceiling": max, "u = 1e-3": min, "near pi": max}[corner](r for _, r in roots)
+        assert {"floor": 1e-8 < x < 2e-8, "ceiling": x > 0.49 * negative_search_ceiling(p, G1),
+                "u = 1e-3": 9e-4 < x < 1.1e-3, "near pi": 0 < math.pi - x < 1e-8}[corner]
+        self._check(_mp_errors(p, G1, roots))
+
+
+# ---------------------------------------------------------------------------
+# the refinement's pass structure
+# ---------------------------------------------------------------------------
+
+#: the most passes `_refine` takes on the scan below
+_MAX_PASSES = 9
+
+
+class TestRefinePasses:
+    """Every bracket `_refine` gets is narrow, and each pass evaluates one residual per bracket."""
+
+    def test_narrow_brackets_one_residual_per_pass(self, monkeypatch):
+        # the 64 rows of an 8x8 scan of xi and L0 around a Haar point with a bound state
+        p = haar_point(np.random.default_rng(8), L0=1.0)
+        points = [make_u2(xi, p.alpha, p.beta, L0)
+                  for xi in np.linspace(p.xi - 0.25, p.xi + 0.25, 8) for L0 in np.linspace(0.5, 2.0, 8)]
+        refine, passes, sectors = spectral._refine, [], set()
+
+        def counted(f, a, b, fa, fb, P):
+            assert np.all(b <= 4.0 * a)
+            live = [len(a)]
+
+            def once(x, *Q, slope=False):
+                # one point per live bracket: never more than the call before
+                assert slope and x.shape == (len(x),) and len(x) <= live[-1]
+                live.append(len(x))
+                return f(x, *Q, slope=slope)
+
+            root = refine(once, a, b, fa, fb, P)
+            passes.append(len(live) - 1)
+            sectors.add(f.__name__)
+            return root
+
+        monkeypatch.setattr(spectral, "_refine", counted)
+        spectra(points, G1, 8)
+        assert len(sectors) == 2
+        assert max(passes) <= _MAX_PASSES
