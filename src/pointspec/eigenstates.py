@@ -4,13 +4,14 @@ A positive level at momentum k has eigenfunctions A exp(ikx) + B exp(-ikx);
 a negative level at decay rate kappa has A exp(kappa x) + B exp(-kappa x);
 the zero mode is A x + B.  In each case (A, B) spans the nullspace of the
 2x2 matrix obtained by inserting the ansatz into the boundary conditions,
-extracted here by singular-value decomposition so that doubly degenerate
-levels (nullspace rank 2) are certified independently of the root finder.
-The levels of a sector are solved together: one stacked SVD of their
-(n, 2, 2) matrices, with Gram-Schmidt, norms, phases and residuals done as
-array expressions; the one-level and one-mode functions are that same code
-on a batch of one.  Coefficients agree with a per-level solve to rounding,
-so printed values can move in the last digits.
+whose singular values certify doubly degenerate levels (nullspace rank 2)
+independently of the root finder.  The levels of a sector are solved
+together: singular values and null vectors of their (n, 2, 2) matrices in
+closed form, with Gram-Schmidt, norms, phases and residuals done as array
+expressions; the one-level and one-mode functions are that same code on a
+batch of one.  Coefficients agree with a per-level LAPACK SVD to rounding,
+so printed values can move in the last digits; a degenerate level's pair
+starts from the unit vectors, so its first mode has coeff_b = 0.
 
 All L2 inner products on [0, l] are evaluated from closed-form
 antiderivatives; numerical quadrature is used only as a cross-check in the
@@ -255,39 +256,77 @@ def _packed(modes):
     return power, rate, np.array([(m.coeff_a, m.coeff_b) for m in modes], dtype=complex).reshape(-1, 2)
 
 
+def _nullspace2(m):
+    """Singular values (largest, smallest) and a near-null vector of each 2x2 matrix of a stack.
+
+    Each matrix is first divided by its largest |entry|, so that no square
+    over- or underflows.  Then s_max**2 = (f + sqrt(f**2 - 4 |det|**2)) / 2
+    from the squared Frobenius norm f, and s_min = |det| / s_max, both to
+    an absolute error of about eps s_max, as from LAPACK.  The vector is
+    the right singular vector of s_min, unnormalized: orthogonal to the
+    larger row of M^H M - s_min**2 I, whose one nonzero eigenvalue
+    s_max**2 - s_min**2 sets its accuracy.  A vector orthogonal to M's own
+    larger row would be off by about s_min / s_max instead, which reaches
+    1e-7 where a float k is not quite a root (L0 = 1e5 l).  A zero matrix,
+    such as U - I at U = I, has singular values 0 and 0.
+    """
+    scale = np.abs(m).max(axis=(1, 2))
+    a, b, c, d = (m / np.where(scale > 0.0, scale, 1.0)[:, None, None]).reshape(-1, 4).T
+    # M^H M = [[left, q], [conj q, right]]
+    left, right = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
+    q = a.conj() * b + c.conj() * d
+    f, det = left + right, np.abs(a * d - b * c)
+    s_max = np.sqrt(0.5 * (f + np.sqrt(np.maximum(0.0, (f - 2.0 * det) * (f + 2.0 * det)))))
+    s_min = det / np.where(s_max > 0.0, s_max, 1.0)
+    lam = s_min * s_min
+    vec = np.where((left >= right)[:, None], np.stack([q, lam - left], -1),
+                   np.stack([right - lam, -q.conj()], -1))
+    return scale * s_max, scale * s_min, vec
+
+
+#: the rank-2 levels' starting pair, Gram-Schmidt'ed in L2: coeff_a's basis function, then coeff_b's
+_UNIT = np.eye(2)
+
+
 @_quiet
 def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> list:
     """Orthonormal eigenfunctions of every listed level of one sector, solved together.
 
     The coefficient pairs span the nullspace of each level's 2x2 boundary
-    matrix M = (U - I) Psi + i L0 (U + I) Psi', from one stacked SVD.  A
-    singular value at or below _RANK_RTOL (|U - I| |Psi| + L0 |U + I| |Psi'|)
-    counts towards the rank, a bound on |M| that follows its scale when the
-    two terms cancel and when U = +-I removes one of them.  Rank-2 levels are
-    made L2-orthonormal by Gram-Schmidt.  Returns one list of modes per
-    level; raises RootNotFoundError when a level has rank 0.
+    matrix M = (U - I) Psi + i L0 (U + I) Psi', from its singular values in
+    closed form (`_nullspace2`).  A singular value at or below
+    _RANK_RTOL (|U - I| |Psi| + L0 |U + I| |Psi'|) counts towards the rank, a
+    bound on |M| that follows its scale when the two terms cancel and when
+    U = +-I removes one of them.  A rank-1 level's pair is M's right
+    singular vector of its smallest singular value.  A rank-2 level starts
+    from the unit pairs (1, 0) and (0, 1), made L2-orthonormal by
+    Gram-Schmidt, so its first mode is coeff_a's basis function alone.
+    Returns one list of modes per level; raises RootNotFoundError when a
+    level has rank 0.
     """
     n = len(parameters)
     k = np.array([0.0 if v is None else v for v in parameters], dtype=float)
     power, rate = (np.broadcast_to(v, (n,)) for v in _basis(sector, k))
-    psi, dpsi = _ends(power[:, None], rate[:, None], *np.eye(2), g.l)
-    # level i's matrix M takes (A, B) to its boundary residual; column j is basis function j
+    psi, dpsi = _ends(power[:, None], rate[:, None], *_UNIT, g.l)
+    # level i's matrix M takes (A, B) to its boundary residual; column j is basis
+    # function j.  U - I and i L0 (U + I) ride along for their largest singular values
     ops = _boundary_matrices(p)
-    _, sv, vh = np.linalg.svd(np.swapaxes(psi @ ops[0].T + dpsi @ ops[1].T, -1, -2))
-    size = np.linalg.svd(ops, compute_uv=False)[:, 0]  # |U - I| and L0 |U + I|
-    thresh = _RANK_RTOL * (size[0] * np.linalg.norm(psi, axis=(1, 2))
-                           + size[1] * np.linalg.norm(dpsi, axis=(1, 2)))
-    rank = np.count_nonzero(sv <= thresh[:, None], axis=1)
+    m = np.swapaxes(psi @ ops[0].T + dpsi @ ops[1].T, -1, -2)
+    s_max, s_min, null = _nullspace2(np.concatenate([m, ops]))
+    thresh = _RANK_RTOL * (s_max[n] * np.linalg.norm(psi, axis=(1, 2))
+                           + s_max[n + 1] * np.linalg.norm(dpsi, axis=(1, 2)))
+    rank = (s_min[:n] <= thresh).astype(int) + (s_max[:n] <= thresh)
     if not rank.all():
         i = int(np.argmin(rank))
         raise RootNotFoundError(
             f"{sector} parameter {parameters[i]!r} is not a root of the level condition "
-            f"(smallest singular value {sv[i, -1]:.3e} above tolerance {thresh[i]:.3e})"
+            f"(smallest singular value {s_min[i]:.3e} above tolerance {thresh[i]:.3e})"
         )
     # Gram-Schmidt in L2 on the rank-2 levels, then one normalization for all
-    vecs, two = vh[np.arange(n), 2 - rank].conj(), np.flatnonzero(rank == 2)
+    two = np.flatnonzero(rank == 2)
+    vecs = np.where((rank == 2)[:, None], _UNIT[0], null[:n])
     if two.size:
-        v1, v2, power2, rate2 = vecs[two], vh[two, 1].conj(), power[two], rate[two]
+        (v1, v2), power2, rate2 = (np.broadcast_to(u, (two.size, 2)) for u in _UNIT), power[two], rate[two]
         overlap = _inner((power2, rate2, v1), (power2, rate2, v2), g.l)
         v2 = v2 - (overlap / _inner((power2, rate2, v1), (power2, rate2, v1), g.l))[:, None] * v1
         power, rate, vecs = (np.concatenate(v) for v in ((power, power2), (rate, rate2), (vecs, v2)))
@@ -365,7 +404,7 @@ def zero_mode(p: U2Params, g: BoxGeometry) -> Mode:
 
     Raises SubfamilyError when `zero_mode_exists` is false.  The
     coefficients span the nullspace of the zero-sector coefficient matrix,
-    through the same SVD route as the other sectors.
+    found by the same closed form as in the other sectors.
     """
     if not zero_mode_exists(p, g):
         raise SubfamilyError("no zero-energy state at this boundary point")

@@ -35,7 +35,11 @@ the number of positive eigenvalues of M.  In the Dirichlet cell
 n < t < n + 1 the count scales a, b, R and T by w = tan((t - n) pi / 2) > 0,
 which keeps the poles at the cell ends finite.  A |c2| up to 1e-12 is 0:
 det(U + I) = 2 e^(i xi) c2, so U has an exact Dirichlet direction, which
-leaves R s as the pencil's one eigenvalue.
+leaves R s as the pencil's one eigenvalue.  A |c1| up to 1e-12 is 0 as
+well: det(U - I) = 2 e^(i xi) c1, so U has an exact Neumann direction.
+Otherwise the float nearest pi/2 leaves c1 = cos xi = 6.1e-17 at the poles
+Im beta = +-1, which outweighs lam u once L0 / l is 1e-5 or less: it splits
+their double levels and moves the zero level of Im beta = -1.
 
 A step of the count across a Dirichlet energy u = n pi is a level at exactly
 n pi (a double one at the poles Im beta = +-1).  Every other state is
@@ -88,8 +92,9 @@ _FLOOR = 1e-9 * (1.0 + 1e-6)
 #: a state with |u| (or v) below this is the numerical shadow of a zero mode:
 #: the zero level stands for it when the zero-mode flag is set
 _ZERO_SHADOW_U = 1e-3
-#: |cos xi + Re alpha| at or below this is an exact Dirichlet direction of U
-_C2_SNAP = 1e-12
+#: |cos xi + Re alpha| (|cos xi - Re alpha|) at or below this is an exact
+#: Dirichlet (Neumann) direction of U
+_C_SNAP = 1e-12
 #: the count beside the Dirichlet energy u = n pi is read at n pi (1 -+ _GAP)
 _GAP = 1e-13
 #: two states closer than this, relative, are one double level
@@ -174,13 +179,14 @@ def _fingerprint_coeffs(p: U2Params):
     """(sin xi, c1, c2, Im beta) with c1 = cos xi - Re alpha, c2 = cos xi + Re alpha.
 
     Built strictly from the fingerprint (xi, Re alpha, Im beta) so that equal
-    fingerprints give bitwise-equal conditions.  c2 within _C2_SNAP of 0 is
-    0, so that the level conditions and the count describe the same point.
+    fingerprints give bitwise-equal conditions.  c1 or c2 within _C_SNAP of
+    0 is 0, so that the level conditions and the count describe the same
+    point, and U's exact wall directions stay exact at any L0.
     """
     s, c = math.sin(p.xi), math.cos(p.xi)
     a_r = p.alpha.real
-    c2 = c + a_r
-    return s, c - a_r, 0.0 if abs(c2) <= _C2_SNAP else c2, p.beta.imag
+    c1, c2 = (0.0 if abs(v) <= _C_SNAP else v for v in (c - a_r, c + a_r))
+    return s, c1, c2, p.beta.imag
 
 
 def positive_condition(p: U2Params, g: BoxGeometry, k):

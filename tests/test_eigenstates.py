@@ -218,6 +218,75 @@ class TestEigenbasis:
                 assert boundary_residual(m, p, G1) < 1e-12
 
 
+    @pytest.mark.parametrize("L0", [1e80, 1e99])
+    @pytest.mark.parametrize(
+        "p", [haar_point(np.random.default_rng(80)), make_u2(0.0, -1.0, 0.0)], ids=["haar", "U=-I"]
+    )
+    def test_huge_L0_modes_are_finite(self, p, L0):
+        # |a|**2 of an unscaled boundary matrix overflows at these L0 / l
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            basis = eigenbasis(replace(p, L0=L0), G1, 8)
+        assert [len(modes) for _, modes in basis] == [lv.multiplicity for lv, _ in basis]
+        for _, modes in basis:
+            for m in modes:
+                assert math.isfinite(abs(m.coeff_a)) and math.isfinite(abs(m.coeff_b))
+
+    @pytest.mark.parametrize("L0", [1e-12, 1.0, 1e12])
+    def test_plus_pole_degenerate_pair_is_the_plane_waves(self, L0):
+        # rank 2 starts from (1, 0), so the first mode is exp(ikx) alone
+        p = make_u2(math.pi / 2, 0.0, 1j, L0)
+        basis = eigenbasis(p, G1, 64)
+        assert [len(modes) for _, modes in basis] == [2] * 64
+        for _, (m1, m2) in basis:
+            assert m1.coeff_b == 0
+            assert abs(mode_inner(m1, m2, G1)) <= 1e-12
+            assert all(abs(mode_inner(m, m, G1) - 1.0) <= 1e-12 for m in (m1, m2))
+
+
+class TestNullspace2:
+    """The closed-form 2x2 singular values and null vector against LAPACK's SVD."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(22)
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        scales = 10.0 ** np.arange(-150, 151, 5)[:, None, None]
+        outer = cplx(2, 1) * cplx(1, 2)
+        zero_row = np.array([[0, 0], cplx(2)])
+        return np.concatenate([
+            cplx(len(scales), 2, 2) * scales,
+            np.einsum("nij,njk->nik", cplx(len(scales), 2, 1), cplx(len(scales), 1, 2)) * scales,
+            np.stack([np.zeros((2, 2)), zero_row, zero_row[::-1], outer, outer.T, 1e-300 * outer]),
+        ])
+
+    def test_matches_svd(self):
+        m = self._matrices()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s_max, s_min, vec = eigenstates._nullspace2(m)
+        _, ref, vh = np.linalg.svd(m)
+        tol = 4 * self.EPS * ref[:, 0]
+        assert np.all(np.abs(s_max - ref[:, 0]) <= tol)
+        assert np.all(np.abs(s_min - ref[:, 1]) <= tol)
+        nonzero = ref[:, 0] > 0.0
+        assert np.count_nonzero(~nonzero) == 1 and s_max[~nonzero] == s_min[~nonzero] == 0.0
+        # the right singular vector of s_min: |M v| = s_min |v|, to few eps s_max
+        # over the gap between the squared singular values
+        v = vec[nonzero] / np.linalg.norm(vec[nonzero], axis=1)[:, None]
+        resid = np.linalg.norm(np.einsum("nij,nj->ni", m[nonzero], v), axis=1)
+        gap = 1.0 - (ref[nonzero, 1] / ref[nonzero, 0]) ** 2
+        assert np.all(np.abs(resid - ref[nonzero, 1]) <= tol[nonzero] / gap)
+        # sine of the angle to LAPACK's vector: v's part along the other singular vector
+        assert np.all(np.abs(np.einsum("nj,nj->n", vh[nonzero, 0], v)) <= 8 * self.EPS / gap)
+        singular = ref[nonzero, 1] <= 1e-15 * ref[nonzero, 0]
+        assert singular.sum() >= 60
+        assert np.all(resid[singular] <= tol[nonzero][singular])
+
+
 def _ref_basis(sector, k):
     if sector == "zero":
         return (1, 0.0), (0, 0.0)

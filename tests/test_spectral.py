@@ -214,6 +214,18 @@ class TestSpectrum:
         assert [lv.sector for lv in spec.levels] == ["positive"] * 3
         assert spec.energies() == pytest.approx([(n * math.pi) ** 2 for n in (1, 2, 3)], rel=1e-12)
 
+    @pytest.mark.parametrize("b_i", [1.0, -1.0], ids=["plus-pole", "minus-pole"])
+    def test_pole_spectrum_is_the_same_at_every_L0(self, b_i):
+        # the poles' spectrum does not depend on L0; cos xi = 6.1e-17 at the
+        # float nearest pi/2 is an exact Neumann direction of U, not a small
+        # c1 that splits the double levels once L0 / l <= 1e-5
+        spec = [spectrum(make_u2(math.pi / 2, 0.0, complex(0.0, b_i), 10.0**e), G1, 8).levels
+                for e in [*range(-140, 101, 10), -12, -8, -5]]
+        assert all(levels == spec[0] for levels in spec)
+        ladder = [lv for lv in spec[0] if lv.sector == "positive"]
+        assert [lv.multiplicity for lv in ladder] == [2] * len(ladder)
+        assert [lv.sector for lv in spec[0][:1]] == ["zero" if b_i < 0 else "positive"]
+
     def test_count_holds_down_to_the_L0_floor(self):
         # the level count stays exact at L0 / l = 1e-140 and is refused below
         spec = spectrum(make_u2(0.0, 1.0, 0.0, 1e-140), G1, 3)
