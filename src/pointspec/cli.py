@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
+import itertools
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,14 +88,19 @@ def _quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("%", "%%") + '"'
 
 
-def _json_text(payload) -> str:
-    """payload as JSON text, written in one walk, joined once and formatted once.
+#: JSON text with a %.17g placeholder for each real, and its reals in order
+_Filled = NamedTuple("_Filled", [("text", str), ("reals", list)])
+
+
+def _json_text(payload, pad: str = "", filled: bool = True):
+    """payload as JSON text at indent pad, written in one walk, joined once and formatted once.
 
     Types are matched exactly, float first; a numpy scalar is written as the
-    Python scalar .item() gives, and any other type is a ConstraintError.
-    The walk writes a %.17g placeholder for each real and collects the reals,
-    so text from keys and strings has its % doubled.  Keys are escaped as
-    strings are, once per call for each distinct key.
+    Python scalar .item() gives, a _Filled as it stands, and any other type
+    is a ConstraintError.  The walk writes a %.17g placeholder for each real
+    and collects the reals, so text from keys and strings has its % doubled.
+    Keys are escaped as strings are, once per call for each distinct key.
+    With filled false the text is left unformatted, in a _Filled with its reals.
     """
     chunks, reals, keys = [], [], {}
     put, real = chunks.append, reals.append
@@ -119,6 +127,9 @@ def _json_text(payload) -> str:
                 write(value, inner)
                 sep = ",\n"
             put(f"\n{pad}]" if obj else "[]")
+        elif t is _Filled:
+            put(obj.text)
+            reals.extend(obj.reals)
         elif t is complex:
             inner = pad + "  "
             put(f'{{\n{inner}"re": %.17g,\n{inner}"im": %.17g\n{pad}}}')
@@ -136,8 +147,9 @@ def _json_text(payload) -> str:
         else:
             raise ConstraintError(f"cannot serialize {t.__name__}")
 
-    write(payload, "")
-    return "".join(chunks) % tuple(reals)
+    write(payload, pad)
+    text = "".join(chunks)
+    return text % tuple(reals) if filled else _Filled(text, reals)
 
 
 def _cells(value) -> tuple:
@@ -235,13 +247,9 @@ def _resolve(args) -> dict:
     file_values = _read_config_file(args.config) if args.config else {}
     cfg = {"command": args.command}
     for dest, (_, _, default) in _FLAG_SPECS.items():
-        flag_value = getattr(args, dest)
-        if flag_value is not None:
-            cfg[dest] = flag_value
-        elif dest in file_values:
-            cfg[dest] = file_values[dest]
-        else:
-            cfg[dest] = [] if dest in _REPEATABLE and default is None else default
+        cfg[dest] = getattr(args, dest)
+        if cfg[dest] is None:
+            cfg[dest] = file_values.get(dest, [] if dest in _REPEATABLE and default is None else default)
     if cfg["format"] not in ("json", "csv"):
         raise ConstraintError("format must be json or csv")
     if cfg["tol"] is not None and not 0.0 < cfg["tol"] < math.inf:
@@ -301,14 +309,7 @@ def _cmd_classify(cfg):
     payload = {
         "command": "classify",
         "point": _point_dict(p),
-        "flags": {
-            "separated": flags.separated,
-            "scale_invariant": flags.scale_invariant,
-            "smooth_circle": flags.smooth_circle,
-            "isospectral": flags.isospectral,
-            "semi_iso_plus": flags.semi_iso_plus,
-            "semi_iso_minus": flags.semi_iso_minus,
-        },
+        "flags": dataclasses.asdict(flags),
         "fingerprint": {"xi": fp[0], "alpha_re": fp[1], "beta_im": fp[2]},
     }
     row = {**_point_row(p), **payload["flags"]}
@@ -350,28 +351,44 @@ def _cmd_spectrum(cfg):
     return 0
 
 
+@functools.cache
+def _level_template(sector: str, null: bool, n_modes: int) -> str:
+    """An eigenstate level's JSON text in the levels list, with a %.17g placeholder per real.
+
+    The reals are the parameter unless null, the energy, then each mode's six.
+    """
+    mode = {"coeff_a": 0j, "coeff_b": 0j, "boundary_residual": 0.0, "norm": 0.0}
+    level = {"sector": sector, "parameter": None if null else 0.0, "energy": 0.0,
+             "multiplicity": n_modes, "modes": [mode] * n_modes}
+    return _json_text(level, "    ", filled=False).text
+
+
 def _cmd_eigenstate(cfg):
     p, g = _point(cfg), _geometry(cfg)
     basis = eigenbasis(p, g, cfg["levels"])
-    residuals, norms = residuals_and_norms([m for _, modes in basis for m in modes], p, g)
-    checks = zip(residuals.tolist(), norms.tolist())
-    levels = [
-        (_level_dict(lv), [
-            {"coeff_a": m.coeff_a, "coeff_b": m.coeff_b, "boundary_residual": residual, "norm": norm}
-            for m, (residual, norm) in zip(modes, checks)
-        ])
-        for lv, modes in basis
-    ]
+    residuals, norms = residuals_and_norms(basis, p, g)
+    offsets = basis.offsets.tolist()
+    levels = list(zip(basis.levels, offsets, offsets[1:]))
+    if cfg["format"] == "csv":
+        modes = list(zip(basis.coeffs.tolist(), residuals.tolist(), norms.tolist()))
+        _emit(None, [
+            {"index": i, **_level_dict(lv), "coeff_a": a, "coeff_b": b, "boundary_residual": r, "norm": n}
+            for i, (lv, lo, hi) in enumerate(levels) for (a, b), r, n in modes[lo:hi]
+        ], cfg)
+        return 0
+    a, b = basis.coeffs.T
+    modes = np.stack([a.real, a.imag, b.real, b.imag, residuals, norms], -1).ravel().tolist()
+    # in each level's order: its parameter unless null, its energy, its modes' six reals each
+    reals = [x for lv, lo, hi in levels
+             for x in (lv.parameter, lv.energy, *modes[6 * lo:6 * hi]) if x is not None]
+    text = ",\n    ".join(_level_template(lv.sector, lv.parameter is None, hi - lo) for lv, lo, hi in levels)
     payload = {
         "command": "eigenstate",
         "point": _point_dict(p),
         "geometry": _geometry_dict(g),
-        "levels": [{**level, "modes": modes} for level, modes in levels],
+        "levels": _Filled(f"[\n    {text}\n  ]", reals),
     }
-    rows = [
-        {"index": i, **level, **m} for i, (level, modes) in enumerate(levels) for m in modes
-    ] if cfg["format"] == "csv" else []
-    _emit(payload, rows, cfg)
+    _emit(payload, [], cfg)
     return 0
 
 
@@ -444,13 +461,10 @@ def _parse_sweeps(cfg):
 
 def _project_point(base, swept):
     """Set swept components, rescale the untouched ones back to unit norm."""
-    comp = dict(base)
-    for name, value in swept.items():
-        comp[name] = value
-    swept_unit = [n for n in swept if n not in ("xi", "L0")]
-    free = [n for n in ("alpha-re", "alpha-im", "beta-re", "beta-im") if n not in swept_unit]
-    fixed_sq = sum(comp[n] ** 2 for n in ("alpha-re", "alpha-im", "beta-re", "beta-im") if n in swept_unit)
-    target_sq = 1.0 - fixed_sq
+    comp = {**base, **swept}
+    unit = ("alpha-re", "alpha-im", "beta-re", "beta-im")
+    free = [n for n in unit if n not in swept]
+    target_sq = 1.0 - sum(comp[n] ** 2 for n in unit if n in swept)
     if target_sq < -1e-12:
         raise ConstraintError("swept components alone exceed the unit norm")
     target_sq = max(0.0, target_sq)
@@ -477,9 +491,7 @@ def _scan_row(p, scale, spec, g):
     row = {
         **_point_row(p),
         "rescale": scale,
-        "fp_xi": fp[0],
-        "fp_alpha_re": fp[1],
-        "fp_beta_im": fp[2],
+        **dict(zip(("fp_xi", "fp_alpha_re", "fp_beta_im"), fp)),
         "zero_mode": zero_mode_exists(p, g),
         "negative_count": sum(1 for lv in spec.levels if lv.sector == SECTOR_NEGATIVE),
     }
@@ -491,22 +503,11 @@ def _scan_row(p, scale, spec, g):
 def _cmd_scan(cfg):
     g = _geometry(cfg)
     axes = _parse_sweeps(cfg)
-    base = {
-        "xi": cfg["xi"],
-        "alpha-re": cfg["alpha_re"],
-        "alpha-im": cfg["alpha_im"],
-        "beta-re": cfg["beta_re"],
-        "beta-im": cfg["beta_im"],
-        "L0": cfg["L0"],
-    }
-    if len(axes) == 1:
-        name, values = axes[0]
-        swept = [{name: v} for v in values]
-    else:
-        (n1, v1), (n2, v2) = axes
-        if n1 == n2:
-            raise ConstraintError("the two sweep axes must differ")
-        swept = [{n1: a, n2: b} for a in v1 for b in v2]
+    base = {name: cfg[name.replace("-", "_")] for name in _SWEEPABLE}
+    names = [name for name, _ in axes]
+    if len(set(names)) < len(names):
+        raise ConstraintError("the two sweep axes must differ")
+    swept = [dict(zip(names, values)) for values in itertools.product(*(v for _, v in axes))]
     projected = [_project_point(base, s) for s in swept]
     specs = spectra([p for p, _ in projected], g, 8)
     rows = [_scan_row(p, scale, spec, g) for (p, scale), spec in zip(projected, specs)]
@@ -526,27 +527,13 @@ def _cmd_oracle_check(cfg):
     n_points = cfg["grid"] or 4000
     fd = oracle.fd_spectrum(p, g, oracle.FdConfig(n_points=n_points), n_levels)
     spec = spectrum(p, g, n_levels)
-    exact = []
-    for lv in spec.levels:
-        exact.extend([lv.energy] * lv.multiplicity)
-    exact = exact[:n_levels]
+    exact = [lv.energy for lv in spec.levels for _ in range(lv.multiplicity)][:n_levels]
     tol = ORACLE_TOL if cfg["tol"] is None else cfg["tol"]
     floor = tol * g.energy_scale
-    rows = []
-    ok = True
-    for i, (e_fd, e_tr) in enumerate(zip(fd, exact)):
-        err = abs(e_fd - e_tr) / max(abs(e_tr), floor / tol)
-        good = abs(e_fd - e_tr) <= max(tol * abs(e_tr), floor)
-        ok = ok and good
-        rows.append(
-            {
-                "index": i,
-                "fd_energy": float(e_fd),
-                "exact_energy": e_tr,
-                "relative_error": err,
-                "pass": good,
-            }
-        )
+    rows = [{"index": i, "fd_energy": float(e_fd), "exact_energy": e_tr,
+             "relative_error": abs(e_fd - e_tr) / max(abs(e_tr), floor / tol),
+             "pass": abs(e_fd - e_tr) <= max(tol * abs(e_tr), floor)}
+            for i, (e_fd, e_tr) in enumerate(zip(fd, exact))]
     payload = {
         "command": "oracle-check",
         "point": _point_dict(p),
@@ -555,7 +542,7 @@ def _cmd_oracle_check(cfg):
         "levels": rows,
     }
     _emit(payload, rows, cfg)
-    if not ok:
+    if not all(r["pass"] for r in rows):
         raise ContradictionError("finite-difference and transcendental spectra disagree")
     return 0
 

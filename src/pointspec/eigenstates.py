@@ -8,9 +8,9 @@ whose singular values certify doubly degenerate levels (nullspace rank 2)
 independently of the root finder.  The levels of a sector are solved
 together: singular values and null vectors of their (n, 2, 2) matrices in
 closed form, with Gram-Schmidt, norms, phases and residuals done as array
-expressions; the one-level and one-mode functions are that same code on a
-batch of one.  Coefficients agree with a per-level LAPACK SVD to rounding,
-so printed values can move in the last digits; a degenerate level's pair
+expressions.  `eigenbasis` keeps the modes as arrays in an `Eigenbasis`
+record, which reads as a tuple of (Level, modes) pairs and builds `Mode`
+objects only when a level is taken from it.  A degenerate level's pair
 starts from the unit vectors, so its first mode has coeff_b = 0.
 
 All L2 inner products on [0, l] are evaluated from closed-form
@@ -46,6 +46,7 @@ from .u2param import U2Params, classify, to_matrix, twist_angle
 
 __all__ = [
     "Mode",
+    "Eigenbasis",
     "BoundaryData",
     "ScaleInvariantCoefficients",
     "boundary_data",
@@ -53,7 +54,6 @@ __all__ = [
     "solve_coefficients",
     "zero_mode",
     "negative_mode",
-    "negative_modes",
     "eigenbasis",
     "scale_invariant_coefficients",
     "scale_invariant_mode",
@@ -100,6 +100,48 @@ class Mode:
     def _at(self, x, derivative):
         out = mode_values((self,), x)[derivative][..., 0]
         return out if out.ndim else complex(out)
+
+
+@dataclass(frozen=True, eq=False)
+class Eigenbasis:
+    """Levels with all of their orthonormal modes, the modes kept as arrays.
+
+    Level i's modes are rows offsets[i]:offsets[i + 1] of power and rate,
+    each row's basis as `_basis` gives it, and of coeffs, its (coeff_a,
+    coeff_b).  The record reads as the tuple of (Level, modes) pairs it
+    holds: len, iteration and indexing give the pairs, each level's modes
+    built as a tuple of `Mode` objects on request; a slice is the record of
+    those levels, and `+` joins it and a record or tuple of pairs into one.
+    """
+
+    levels: tuple
+    power: np.ndarray
+    rate: np.ndarray
+    coeffs: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, pairs) -> Eigenbasis:
+        """A record as it is, or the record of a sequence of (Level, modes) pairs."""
+        if isinstance(pairs, cls):
+            return pairs
+        pairs = tuple(pairs)
+        return cls(tuple(lv for lv, _ in pairs), *_batch([m for _, modes in pairs for m in modes]),
+                   np.cumsum([0, *(len(modes) for _, modes in pairs)]))
+
+    def __len__(self):
+        return len(self.levels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Eigenbasis.of(tuple(self)[i])
+        i = range(len(self))[i]  # an IndexError past the end also ends iteration
+        lv = self.levels[i]
+        rows = self.coeffs[self.offsets[i]:self.offsets[i + 1]].tolist()
+        return lv, tuple(Mode(lv.sector, lv.parameter, *c) for c in rows)
+
+    def __add__(self, other) -> Eigenbasis:
+        return Eigenbasis.of(tuple(self) + tuple(other))
 
 
 @dataclass(frozen=True)
@@ -248,12 +290,13 @@ def _normalized(modes, l: float) -> np.ndarray:
     return c * np.where(size > 0.0, z.conj() / np.where(size > 0.0, size, 1.0), 1.0)[:, None]
 
 
-def _packed(modes):
-    """The batch triple of a sequence of Mode objects."""
-    bases = [_basis(m.sector, m.parameter) for m in modes]
-    power = np.array([b[0] for b in bases], dtype=int)
-    rate = np.array([b[1] for b in bases], dtype=complex)
-    return power, rate, np.array([(m.coeff_a, m.coeff_b) for m in modes], dtype=complex).reshape(-1, 2)
+def _batch(modes):
+    """The batch triple of an `Eigenbasis` record, as it holds it, or of a sequence of Mode objects."""
+    if isinstance(modes, Eigenbasis):
+        return modes.power, modes.rate, modes.coeffs
+    power, rate = np.array([_basis(m.sector, m.parameter) for m in modes], dtype=complex).reshape(-1, 2).T
+    coeffs = np.array([(m.coeff_a, m.coeff_b) for m in modes], dtype=complex).reshape(-1, 2)
+    return power.real.astype(int), rate, coeffs
 
 
 def _nullspace2(m):
@@ -289,7 +332,7 @@ _UNIT = np.eye(2)
 
 
 @_quiet
-def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> list:
+def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> tuple:
     """Orthonormal eigenfunctions of every listed level of one sector, solved together.
 
     The coefficient pairs span the nullspace of each level's 2x2 boundary
@@ -301,8 +344,9 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> list:
     singular vector of its smallest singular value.  A rank-2 level starts
     from the unit pairs (1, 0) and (0, 1), made L2-orthonormal by
     Gram-Schmidt, so its first mode is coeff_a's basis function alone.
-    Returns one list of modes per level; raises RootNotFoundError when a
-    level has rank 0.
+    Returns the modes' batch triple (power, rate, coeffs), each level's
+    modes on adjacent rows in level order, and each level's rank; raises
+    RootNotFoundError when a level has rank 0.
     """
     n = len(parameters)
     k = np.array([0.0 if v is None else v for v in parameters], dtype=float)
@@ -322,33 +366,38 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> list:
             f"{sector} parameter {parameters[i]!r} is not a root of the level condition "
             f"(smallest singular value {s_min[i]:.3e} above tolerance {thresh[i]:.3e})"
         )
-    # Gram-Schmidt in L2 on the rank-2 levels, then one normalization for all
-    two = np.flatnonzero(rank == 2)
-    vecs = np.where((rank == 2)[:, None], _UNIT[0], null[:n])
-    if two.size:
-        (v1, v2), power2, rate2 = (np.broadcast_to(u, (two.size, 2)) for u in _UNIT), power[two], rate[two]
-        overlap = _inner((power2, rate2, v1), (power2, rate2, v2), g.l)
-        v2 = v2 - (overlap / _inner((power2, rate2, v1), (power2, rate2, v1), g.l))[:, None] * v1
-        power, rate, vecs = (np.concatenate(v) for v in ((power, power2), (rate, rate2), (vecs, v2)))
-    coeffs = _normalized((power, rate, vecs), g.l).tolist()
-    modes = [[Mode(sector, v, *c)] for v, c in zip(parameters, coeffs)]
-    for i, c in zip(two.tolist(), coeffs[n:]):
-        modes[i].append(Mode(sector, parameters[i], *c))
-    return modes
+    # one row per mode; Gram-Schmidt in L2 on the rank-2 levels, then one normalization for all
+    level = np.repeat(np.arange(n), rank)
+    second = np.flatnonzero(np.diff(level, prepend=-1) == 0)
+    power, rate = power[level], rate[level]
+    vecs = np.where((rank == 2)[level][:, None], _UNIT[0], null[level])
+    if second.size:
+        v1, v2 = (np.broadcast_to(u, (second.size, 2)) for u in _UNIT)
+        pair = (power[second], rate[second])
+        overlap = _inner((*pair, v1), (*pair, v2), g.l) / _inner((*pair, v1), (*pair, v1), g.l)
+        vecs[second] = v2 - overlap[:, None] * v1
+    return power, rate, _normalized((power, rate, vecs), g.l), rank
+
+
+def _level_modes(p: U2Params, g: BoxGeometry, sector: str, parameter) -> list:
+    """The orthonormal modes of one level, as Mode objects."""
+    coeffs = _sector_modes(p, g, sector, [parameter])[2].tolist()
+    return [Mode(sector, parameter, *c) for c in coeffs]
 
 
 def mode_values(modes, x):
     """psi(x) and psi'(x) of every mode, with the modes on a new trailing axis.
 
-    x is a number or an array; both results have shape x.shape + (len(modes),).
+    modes is an `Eigenbasis` record or a sequence of Mode objects; x is a
+    number or an array.  Both results have shape x.shape + (number of modes,).
     """
-    power, rate, c = _packed(modes)
+    power, rate, c = _batch(modes)
     return _values(power, rate, c[:, 0], c[:, 1], np.asarray(x, dtype=float)[..., None])
 
 
 def mode_inner(m1: Mode, m2: Mode, g: BoxGeometry) -> complex:
     """L2 inner product <m1, m2> on [0, l] from exact antiderivatives."""
-    return complex(_inner(_packed((m1,)), _packed((m2,)), g.l)[0])
+    return complex(_inner(_batch((m1,)), _batch((m2,)), g.l)[0])
 
 
 def boundary_data(m: Mode, g: BoxGeometry) -> BoundaryData:
@@ -357,7 +406,7 @@ def boundary_data(m: Mode, g: BoxGeometry) -> BoundaryData:
     An exponent beyond the float range raises OverflowError instead of
     turning into inf.
     """
-    power, rate, c = _packed((m,))
+    power, rate, c = _batch((m,))
     psi, dpsi = _ends(power, rate, c[:, 0], c[:, 1], g.l)
     return BoundaryData(psi[0], dpsi[0])
 
@@ -368,12 +417,15 @@ def boundary_residual(m: Mode, p: U2Params, g: BoxGeometry) -> float:
     Returns |(U - I) Psi + i L0 (U + I) Psi'| divided by |(Psi, L0 Psi')|;
     zero exactly when the mode satisfies the boundary conditions.
     """
-    return float(_residuals(_packed((m,)), p, g.l)[0])
+    return float(_residuals(_batch((m,)), p, g.l)[0])
 
 
 def residuals_and_norms(modes, p: U2Params, g: BoxGeometry):
-    """Boundary residual and squared norm <m, m> of every mode, as two float arrays."""
-    batch = _packed(modes)
+    """Boundary residual and squared norm <m, m> of every mode, as two float arrays.
+
+    modes is an `Eigenbasis` record or a sequence of Mode objects.
+    """
+    batch = _batch(modes)
     return _residuals(batch, p, g.l), _inner(batch, batch, g.l).real
 
 
@@ -384,19 +436,14 @@ def solve_coefficients(p: U2Params, g: BoxGeometry, k: float):
     even-order root (nullspace rank 2 is the authoritative degeneracy
     certificate).  Raises RootNotFoundError when k is not a root.
     """
-    return _sector_modes(p, g, SECTOR_POSITIVE, [k])[0]
-
-
-def negative_modes(p: U2Params, g: BoxGeometry, kappa: float):
-    """Orthonormal bound-type eigenfunctions at a negative-level root kappa."""
-    if not kappa > 0.0:
-        raise ConstraintError("kappa must be strictly positive")
-    return _sector_modes(p, g, SECTOR_NEGATIVE, [kappa])[0]
+    return _level_modes(p, g, SECTOR_POSITIVE, k)
 
 
 def negative_mode(p: U2Params, g: BoxGeometry, kappa: float) -> Mode:
     """Normalized bound-type eigenfunction at a negative-level root kappa."""
-    return negative_modes(p, g, kappa)[0]
+    if not kappa > 0.0:
+        raise ConstraintError("kappa must be strictly positive")
+    return _level_modes(p, g, SECTOR_NEGATIVE, kappa)[0]
 
 
 def zero_mode(p: U2Params, g: BoxGeometry) -> Mode:
@@ -408,31 +455,31 @@ def zero_mode(p: U2Params, g: BoxGeometry) -> Mode:
     """
     if not zero_mode_exists(p, g):
         raise SubfamilyError("no zero-energy state at this boundary point")
-    return _sector_modes(p, g, SECTOR_ZERO, [None])[0][0]
+    return _level_modes(p, g, SECTOR_ZERO, None)[0]
 
 
-def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int):
+def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int) -> Eigenbasis:
     """The n_levels lowest levels, each with its orthonormal eigenfunctions.
 
-    Returns a tuple of (Level, modes) pairs in energy order; a degenerate
-    level carries all of its modes.  The levels of each sector are solved
-    together, deepest sector first.  Raises ContradictionError when the
-    nullspace rank at a level disagrees with its multiplicity.
+    Returns an `Eigenbasis` record, read as a tuple of (Level, modes) pairs
+    in energy order; a degenerate level carries all of its modes.  The
+    levels of each sector are solved together, deepest sector first.
+    Raises ContradictionError when the nullspace rank at a level disagrees
+    with its multiplicity.
     """
     levels = spectrum(p, g, n_levels).levels
-    modes = [()] * len(levels)
-    for sector in (SECTOR_NEGATIVE, SECTOR_ZERO, SECTOR_POSITIVE):
-        group = [i for i, lv in enumerate(levels) if lv.sector == sector]
-        if group:
-            for i, found in zip(group, _sector_modes(p, g, sector, [levels[i].parameter for i in group])):
-                modes[i] = tuple(found)
-    for lv, found in zip(levels, modes):
-        if len(found) != lv.multiplicity:
+    # levels come in energy order, so each sector's levels are adjacent and in this order
+    power, rate, coeffs, rank = map(np.concatenate, zip(*[
+        _sector_modes(p, g, sector, parameters) for sector in (SECTOR_NEGATIVE, SECTOR_ZERO, SECTOR_POSITIVE)
+        if (parameters := [lv.parameter for lv in levels if lv.sector == sector])
+    ]))
+    for lv, found in zip(levels, rank.tolist()):
+        if found != lv.multiplicity:
             raise ContradictionError(
                 "nullspace rank disagrees with the root multiplicity "
                 f"at {lv.sector} parameter {lv.parameter!r}"
             )
-    return tuple(zip(levels, modes))
+    return Eigenbasis(levels, power, rate.astype(complex), coeffs, np.cumsum([0, *rank]))
 
 
 def scale_invariant_coefficients(
@@ -488,7 +535,7 @@ def normalize(m: Mode, g: BoxGeometry) -> Mode:
     The phase is fixed by rotating the first non-vanishing of psi(0) and
     psi'(0) onto the positive real axis.
     """
-    a, b = _normalized(_packed((m,)), g.l)[0].tolist()
+    a, b = _normalized(_batch((m,)), g.l)[0].tolist()
     return Mode(m.sector, m.parameter, a, b)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenstates import ScaleInvariantCoefficients, mode_values, scale_invariant_coefficients
+from .eigenstates import Eigenbasis, ScaleInvariantCoefficients, mode_values, scale_invariant_coefficients
 from .errors import ConstraintError, SubfamilyError, TailBoundError
 from .spectral import SECTOR_POSITIVE, BoxGeometry
 from .u2param import INFINITE_LENGTH, U2Params, classify, separated_lengths, twist_angle
@@ -149,7 +149,7 @@ def _by_time(values: list, one: bool):
 
 
 def spectral_heat_kernel(
-    basis: tuple,
+    basis: Eigenbasis,
     g: BoxGeometry,
     a: float | np.ndarray,
     b: float | np.ndarray,
@@ -159,10 +159,10 @@ def spectral_heat_kernel(
 ) -> complex | np.ndarray:
     """Truncated spectral sum sum_n exp(-E_n tau/hbar) psi_n(b) psi_n*(a).
 
-    The sum runs over the modes of `basis`, the (Level, modes) pairs from
-    `eigenbasis` or a leading slice of them.  The endpoints `a` and `b` are
-    numbers or arrays that broadcast together; numbers give a complex,
-    arrays a complex array of the broadcast shape.
+    The sum runs over the modes of `basis`: the record from `eigenbasis`, a
+    leading slice of it, or the same (Level, modes) pairs as a plain tuple.
+    The endpoints `a` and `b` are numbers or arrays that broadcast together;
+    numbers give a complex, arrays a complex array of the broadcast shape.
     Degenerate partners are summed individually; negative levels enter with
     their growing Boltzmann factor.  The value is Hermitian in the
     endpoints, K(a, b) = conj(K(b, a)); it is real at coincident points and
@@ -172,9 +172,10 @@ def spectral_heat_kernel(
     `tau` is one time or a 1-D sequence of times; a sequence puts the times
     on a new leading axis of the result.  `n_levels` truncates each time's
     sum to the level prefix `basis[:n]`: one count for every time, or a
-    sequence matching `tau`; the default is the whole basis.  The modes are
-    evaluated once per endpoint array, in one `mode_values` call for all
-    times, and each time sums its own prefix of them.
+    sequence matching `tau`; the default is the whole basis.  Every mode of
+    the basis is evaluated once per endpoint array, in one `mode_values`
+    call on the record's arrays for all times, and each time sums its own
+    prefix of them.
 
     Raises TailBoundError when a time's prefix is too short for the
     requested tolerance `tol`, measured relative to the free-kernel
@@ -183,23 +184,22 @@ def spectral_heat_kernel(
     """
     times, one = _times(tau)
     a, b = _check_positions(g, a, b)
+    basis = Eigenbasis.of(basis)
     counts = _per_time(len(basis) if n_levels is None else n_levels, times)
     sizes = []
     for t, n in zip(times, counts):
-        levels = basis[:n]
-        k_top = max((lv.parameter for lv, _ in levels if lv.sector == SECTOR_POSITIVE), default=0.0)
+        levels = basis.levels[:n]
+        k_top = max((lv.parameter for lv in levels if lv.sector == SECTOR_POSITIVE), default=0.0)
         c = g.hbar * t / (2.0 * g.mass)
         if k_top <= 0.0 or 8.0 * math.erfc(k_top * math.sqrt(c)) > tol:
             raise TailBoundError(
                 f"a basis of {len(levels)} levels leaves a spectral tail above {tol}"
             )
-        sizes.append(sum(len(level_modes) for _, level_modes in levels))
-    levels = basis[:max(counts)]
-    modes = [m for _, level_modes in levels for m in level_modes]
-    energy = -np.array([lv.energy for lv, level_modes in levels for _ in level_modes])
+        sizes.append(basis.offsets[len(levels)])
+    energy = -np.repeat([lv.energy for lv in basis.levels], np.diff(basis.offsets))
     # modes on a trailing axis, summed elementwise: a BLAS contraction spent
     # milliseconds per call waking OpenBLAS threads (2 cores), more than the sum
-    psi_b, psi_a = mode_values(modes, b)[0], np.conj(mode_values(modes, a)[0])
+    psi_b, psi_a = mode_values(basis, b)[0], np.conj(mode_values(basis, a)[0])
     return _by_time([
         np.sum(np.exp(energy[:m] * t / g.hbar) * psi_b[..., :m] * psi_a[..., :m], axis=-1)
         for t, m in zip(times, sizes)
@@ -326,9 +326,9 @@ def build_image_terms(p: U2Params, g: BoxGeometry, n_images: int) -> KernelTermL
 
     Covered cases:
       * separated points whose Robin lengths are both 0 or infinite (the four
-        scale-free wall pairs), with displacements on the 2 nu l lattice;
-        `image_heat_kernel` sums |shift| <= n_images l of them, that is
-        |nu| <= n_images / 2, though |nu| <= n_images are built;
+        scale-free wall pairs), with displacements on the 2 nu l lattice:
+        |nu| <= n_images // 2, the terms `image_heat_kernel` sums inside
+        its cut |shift| <= n_images l;
       * the scale-invariant sphere, with winding weights l*C_nu on the direct
         family and -l*D_nu on the mirror family over the nu l lattice; at the
         doubly degenerate poles Im(beta) = -+1 the mirror weights vanish and
@@ -354,7 +354,7 @@ def build_image_terms(p: U2Params, g: BoxGeometry, n_images: int) -> KernelTermL
                 )
         mirror_sign = {"zero": -1.0, "inf": +1.0}[walls[0]]
         alternating = walls[0] != walls[1]
-        for nu in range(-n_images, n_images + 1):
+        for nu in range(-(n_images // 2), n_images // 2 + 1):
             w = (-1.0) ** nu if alternating else 1.0
             terms.append(ImageTerm(complex(w), _DIRECT, 2.0 * nu * g.l))
             terms.append(ImageTerm(complex(mirror_sign * w), _MIRROR, 2.0 * nu * g.l))

@@ -1,11 +1,11 @@
-"""Shared samplers for randomized tests (all seeded by the caller), and fixed points."""
+"""Shared samplers for randomized tests (all seeded by the caller), fixed points, and eigenstate payloads."""
 
 import cmath
 import math
 
 import numpy as np
 
-from pointspec import make_u2
+from pointspec import eigenbasis, make_u2, residuals_and_norms
 
 
 def haar_point(rng, L0=None):
@@ -63,3 +63,36 @@ def degenerate_negative_point():
     xi = cmath.phase(np.linalg.det(U)) / 2.0 % math.pi
     alpha, beta = U[0] * cmath.exp(-1j * xi)
     return make_u2(xi, complex(alpha), complex(beta))
+
+
+def eigenstate_payload(p, g, n_levels):
+    """The `eigenstate` command's JSON payload and CSV rows, built as dicts from Mode objects.
+
+    One dict per level and per mode, with the residuals and norms of the
+    Mode list: the generic writers `_json_text` and `_csv_text` turn them
+    into the command's output.
+    """
+    basis = eigenbasis(p, g, n_levels)
+    residuals, norms = residuals_and_norms([m for _, modes in basis for m in modes], p, g)
+    checks = zip(residuals.tolist(), norms.tolist())
+    levels = [
+        ({"sector": lv.sector, "parameter": lv.parameter, "energy": lv.energy, "multiplicity": lv.multiplicity},
+         [{"coeff_a": m.coeff_a, "coeff_b": m.coeff_b, "boundary_residual": r, "norm": n}
+          for m, (r, n) in zip(modes, checks)])
+        for lv, modes in basis
+    ]
+    payload = {
+        "command": "eigenstate",
+        "point": {"xi": p.xi, "alpha": p.alpha, "beta": p.beta, "L0": p.L0},
+        "geometry": {"length": g.l, "hbar": g.hbar, "mass": g.mass},
+        "levels": [{**level, "modes": modes} for level, modes in levels],
+    }
+    rows = [{"index": i, **level, **m} for i, (level, modes) in enumerate(levels) for m in modes]
+    return payload, rows
+
+
+def point_args(xi, alpha, beta, L0):
+    """The CLI flags of a boundary point, each value as its repr."""
+    values = {"xi": xi, "alpha-re": alpha.real, "alpha-im": alpha.imag,
+              "beta-re": beta.real, "beta-im": beta.imag, "L0": L0}
+    return [f"--{k}={float(v)!r}" for k, v in values.items()]

@@ -26,6 +26,7 @@ from pointspec import (
 from pointspec import kernels
 from pointspec import cli
 from pointspec.cli import DEFAULT_KERNEL_TIMES, main
+from helpers import eigenstate_payload, point_args
 
 G1 = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
 
@@ -191,6 +192,37 @@ class TestEigenstateCommand:
                 assert float(row[f"{key}_re"]) == m[key]["re"] and float(row[f"{key}_im"]) == m[key]["im"]
             for key in ("boundary_residual", "norm"):
                 assert float(row[key]) == m[key]
+
+
+HAAR = (0.4039152044902676, complex(0.7070850316982114, 0.6368696519031734),
+        complex(-0.26536580127512216, -0.15494772004351248))
+
+# (name, (xi, alpha, beta, L0), levels, what the case covers)
+WRITER_CASES = [
+    ("plus-pole", (math.pi / 2, 0j, 1j, 1.0), 256,
+     lambda levels: all(len(lv["modes"]) == 2 for lv in levels)),
+    ("U=I", (0.0, 1 + 0j, 0j, 1.0), 3,
+     lambda levels: levels[0]["sector"] == "zero" and levels[0]["parameter"] is None),
+    ("haar-bound-state", (*HAAR, 1.0), 8, lambda levels: levels[0]["sector"] == "negative"),
+    ("one-level", (*HAAR, 1.0), 1, lambda levels: len(levels) == 1),
+    ("huge-L0", (*HAAR, 1e99), 8, lambda levels: len(levels) == 8),
+]
+
+
+class TestEigenstateWriter:
+    """eigenstate's output, written from the mode arrays, against the generic writers on dicts."""
+
+    @pytest.mark.parametrize("name, point, n, covers", WRITER_CASES, ids=[c[0] for c in WRITER_CASES])
+    def test_matches_generic_writers(self, name, point, n, covers, tmp_path, capsys):
+        payload, rows = eigenstate_payload(make_u2(*point), G1, n)
+        assert covers(payload["levels"])
+        argv = ["eigenstate", *point_args(*point), "--mass=0.5", "--levels", str(n)]
+        for fmt, text in (("json", cli._json_text(payload) + "\n"), ("csv", cli._csv_text(rows))):
+            assert main(argv + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == text
+            out = tmp_path / f"out.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes().decode() == text
 
 
 class TestKernelCompareCommand:

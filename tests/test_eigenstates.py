@@ -11,6 +11,7 @@ from pointspec import (
     BoxGeometry,
     ConstraintError,
     ContradictionError,
+    Eigenbasis,
     Mode,
     RootNotFoundError,
     Spectrum,
@@ -30,6 +31,8 @@ from pointspec import (
     scale_invariant_coefficients,
     scale_invariant_mode,
     solve_coefficients,
+    spectral_heat_kernel,
+    spectral_levels_needed,
     spectrum,
     to_matrix,
     zero_mode,
@@ -395,6 +398,83 @@ class TestEigenbasisReference:
                 ref_norm = _ref_inner(ref_basis, c, c, g.l).real
                 assert abs(mode_inner(m, m, g).real - ref_norm) <= 1e-12
                 assert boundary_residual(m, p, g) <= 1e-9
+
+
+@eigenstates._quiet
+def _pairs_ref(p, g, n_levels):
+    """eigenbasis as a tuple of (Level, tuple of Mode) pairs: a copy of the Mode-list construction.
+
+    Each sector's levels are solved as one batch, the rank-2 levels' second
+    modes appended after every level's first, and one Mode built per row.
+    """
+    es = eigenstates
+    levels = spectrum(p, g, n_levels).levels
+    modes = [()] * len(levels)
+    for sector in ("negative", "zero", "positive"):
+        group = [i for i, lv in enumerate(levels) if lv.sector == sector]
+        if not group:
+            continue
+        parameters = [levels[i].parameter for i in group]
+        n = len(parameters)
+        k = np.array([0.0 if v is None else v for v in parameters], dtype=float)
+        power, rate = (np.broadcast_to(v, (n,)) for v in es._basis(sector, k))
+        psi, dpsi = es._ends(power[:, None], rate[:, None], *es._UNIT, g.l)
+        ops = es._boundary_matrices(p)
+        m = np.swapaxes(psi @ ops[0].T + dpsi @ ops[1].T, -1, -2)
+        s_max, s_min, null = es._nullspace2(np.concatenate([m, ops]))
+        thresh = es._RANK_RTOL * (s_max[n] * np.linalg.norm(psi, axis=(1, 2))
+                                  + s_max[n + 1] * np.linalg.norm(dpsi, axis=(1, 2)))
+        rank = (s_min[:n] <= thresh).astype(int) + (s_max[:n] <= thresh)
+        two = np.flatnonzero(rank == 2)
+        vecs = np.where((rank == 2)[:, None], es._UNIT[0], null[:n])
+        if two.size:
+            (v1, v2), power2, rate2 = (np.broadcast_to(u, (two.size, 2)) for u in es._UNIT), power[two], rate[two]
+            overlap = es._inner((power2, rate2, v1), (power2, rate2, v2), g.l)
+            v2 = v2 - (overlap / es._inner((power2, rate2, v1), (power2, rate2, v1), g.l))[:, None] * v1
+            power, rate, vecs = (np.concatenate(v) for v in ((power, power2), (rate, rate2), (vecs, v2)))
+        coeffs = es._normalized((power, rate, vecs), g.l).tolist()
+        found = [[Mode(sector, v, *c)] for v, c in zip(parameters, coeffs)]
+        for i, c in zip(two.tolist(), coeffs[n:]):
+            found[i].append(Mode(sector, parameters[i], *c))
+        for i, f in zip(group, found):
+            modes[i] = tuple(f)
+    return tuple(zip(levels, modes))
+
+
+class TestEigenbasisRecord:
+    """The record reads as the tuple of (Level, modes) pairs, with the Mode objects of the Mode-list route."""
+
+    POINTS = [("haar", haar_point(np.random.default_rng(21)), 12),
+              ("plus-pole", make_u2(math.pi / 2, 0.0, 1j), 12),
+              ("minus-pole", make_u2(math.pi / 2, 0.0, -1j), 12)]
+
+    @pytest.mark.parametrize("name, p, n", POINTS, ids=[c[0] for c in POINTS])
+    def test_tuple_contract(self, name, p, n):
+        basis, ref = eigenbasis(p, G1, n), _pairs_ref(p, G1, n)
+        assert isinstance(basis, Eigenbasis) and len(basis) == len(ref) == n
+        assert tuple(basis) == ref
+        assert [basis[i] for i in range(n)] == list(ref) and basis[-1] == ref[-1]
+        with pytest.raises(IndexError):
+            basis[n]
+        for part in (slice(5), slice(0), slice(3, None), slice(None, None, -2)):
+            assert isinstance(basis[part], Eigenbasis) and tuple(basis[part]) == ref[part]
+        other, other_ref = eigenbasis(DIRICHLET, G1, 3), _pairs_ref(DIRICHLET, G1, 3)
+        assert tuple(basis[:5] + other) == ref[:5] + other_ref
+        assert tuple(basis[:5] + other_ref) == ref[:5] + other_ref
+        # the pairs of a record, and the modes of each pair, are plain tuples, as before
+        level, modes = basis[0]
+        assert type(basis[0]) is tuple and type(modes) is tuple
+
+    @pytest.mark.parametrize("name, p, n", POINTS, ids=[c[0] for c in POINTS])
+    def test_kernel_on_a_slice_equals_plain_pairs(self, name, p, n):
+        tau = 0.05
+        need = spectral_levels_needed(p, G1, tau)
+        basis = eigenbasis(p, G1, need + 4)
+        xs = np.linspace(0.0, 1.0, 7)
+        a, b = np.meshgrid(xs, xs[::2], indexing="ij", sparse=True)
+        got = spectral_heat_kernel(basis[:need], G1, a, b, [tau, 2 * tau])
+        assert np.array_equal(got, spectral_heat_kernel(tuple(basis)[:need], G1, a, b, [tau, 2 * tau]))
+        assert np.array_equal(spectral_heat_kernel(basis, G1, a, b, tau, n_levels=need), got[0])
 
 
 class TestEigenbasisFiniteOrRaise:

@@ -8,6 +8,7 @@ from pointspec import (
     BoxGeometry,
     ConstraintError,
     EuclideanTime,
+    ImageTerm,
     KernelTermList,
     SubfamilyError,
     TailBoundError,
@@ -312,7 +313,8 @@ class TestManyTimes:
 
 class TestBuildImageTerms:
     def test_dirichlet_weights(self):
-        terms = build_image_terms(DIRICHLET, G1, 2)
+        # n_images = 4 builds |nu| <= 2 on the 2 nu l lattice
+        terms = build_image_terms(DIRICHLET, G1, 4)
         direct = {t.shift: t.weight for t in terms.terms if t.kind == "direct"}
         mirror = {t.shift: t.weight for t in terms.terms if t.kind == "mirror"}
         assert set(direct) == {-4.0, -2.0, 0.0, 2.0, 4.0}
@@ -322,7 +324,7 @@ class TestBuildImageTerms:
     def test_mixed_wall_weights(self):
         # walls (inf, 0): direct (-1)^nu, mirror +(-1)^nu on the 2 nu l lattice
         p = make_u2(math.pi / 2, -1j, 0.0)
-        terms = build_image_terms(p, G1, 2)
+        terms = build_image_terms(p, G1, 4)
         direct = {t.shift: t.weight for t in terms.terms if t.kind == "direct"}
         mirror = {t.shift: t.weight for t in terms.terms if t.kind == "mirror"}
         for nu in (-2, -1, 0, 1, 2):
@@ -337,6 +339,29 @@ class TestBuildImageTerms:
         for t in terms.terms:
             nu = round(t.shift / G1.l)
             assert t.weight == pytest.approx((-1.0) ** nu)
+
+    # the four scale-free wall pairs: (point, mirror sign, whether the weights alternate)
+    WALLS = [("zero-zero", DIRICHLET, -1.0, False), ("inf-inf", NEUMANN, 1.0, False),
+             ("zero-inf", make_u2(math.pi / 2, 1j, 0.0), -1.0, True),
+             ("inf-zero", make_u2(math.pi / 2, -1j, 0.0), 1.0, True)]
+
+    @pytest.mark.parametrize("name, p, mirror_sign, alternating", WALLS, ids=[w[0] for w in WALLS])
+    def test_separated_lists_hold_only_the_summed_terms(self, name, p, mirror_sign, alternating):
+        taus = [_tau(0.1), _tau(0.5)]
+        short, long_ = (images_needed(G1, tau) for tau in taus)
+        a, b = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4), indexing="ij", sparse=True)
+        for n_img in (long_, long_ + 1):  # one odd count and one even
+            terms = build_image_terms(p, G1, n_img)
+            assert len(terms.terms) == 2 * (2 * (n_img // 2) + 1)
+            # every term the cut |shift| <= n_images l keeps, and the terms beyond it
+            full = KernelTermList(tuple(
+                ImageTerm(complex(sign * (-1.0) ** nu if alternating else sign), kind, 2.0 * nu * G1.l)
+                for nu in range(-n_img, n_img + 1)
+                for kind, sign in (("direct", 1.0), ("mirror", mirror_sign))
+            ), G1)
+            for counts in (n_img, [short, n_img]):
+                assert np.array_equal(image_heat_kernel(terms, a, b, taus, counts),
+                                      image_heat_kernel(full, a, b, taus, counts))
 
     def test_generic_point_unsupported(self):
         n = math.sqrt(1.0004)
