@@ -343,7 +343,6 @@ def _cmd_spectrum(cfg):
         "geometry": _geometry_dict(g),
         "zero_mode": zero_mode_exists(p, g),
         "negative_count": sum(1 for lv in spec.levels if lv.sector == SECTOR_NEGATIVE),
-        "k_max": spec.k_max,
         "levels": levels,
     }
     rows = [{"index": i, **entry} for i, entry in enumerate(levels)]

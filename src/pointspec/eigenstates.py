@@ -8,10 +8,11 @@ whose singular values certify doubly degenerate levels (nullspace rank 2)
 independently of the root finder.  The levels of a sector are solved
 together: singular values and null vectors of their (n, 2, 2) matrices in
 closed form, with Gram-Schmidt, norms, phases and residuals done as array
-expressions.  `eigenbasis` keeps the modes as arrays in an `Eigenbasis`
-record, which reads as a tuple of (Level, modes) pairs and builds `Mode`
-objects only when a level is taken from it.  A degenerate level's pair
-starts from the unit vectors, so its first mode has coeff_b = 0.
+expressions.  `eigenbasis` is the one path from a level to its modes: it
+keeps them as arrays in an `Eigenbasis` record, whose level i is read as
+`basis[i]`, a (Level, modes) pair with the modes built as `Mode` objects.
+A degenerate level's pair starts from the unit vectors, so its first mode
+has coeff_b = 0.
 
 All L2 inner products on [0, l] are evaluated from closed-form
 antiderivatives; numerical quadrature is used only as a cross-check in the
@@ -40,24 +41,16 @@ from .spectral import (
     SECTOR_ZERO,
     BoxGeometry,
     spectrum,
-    zero_mode_exists,
 )
 from .u2param import U2Params, classify, to_matrix, twist_angle
 
 __all__ = [
     "Mode",
     "Eigenbasis",
-    "BoundaryData",
     "ScaleInvariantCoefficients",
-    "boundary_data",
-    "boundary_residual",
-    "solve_coefficients",
-    "zero_mode",
-    "negative_mode",
     "eigenbasis",
     "scale_invariant_coefficients",
     "scale_invariant_mode",
-    "normalize",
     "probability_current",
     "mode_inner",
     "residuals_and_norms",
@@ -108,10 +101,10 @@ class Eigenbasis:
 
     Level i's modes are rows offsets[i]:offsets[i + 1] of power and rate,
     each row's basis as `_basis` gives it, and of coeffs, its (coeff_a,
-    coeff_b).  The record reads as the tuple of (Level, modes) pairs it
-    holds: len, iteration and indexing give the pairs, each level's modes
-    built as a tuple of `Mode` objects on request; a slice is the record of
-    those levels, and `+` joins it and a record or tuple of pairs into one.
+    coeff_b).  len, iteration and indexing read the record as a tuple of
+    (Level, modes) pairs, each level's modes built as a tuple of `Mode`
+    objects; a slice is the record of those levels, its rows taken from
+    the arrays.
     """
 
     levels: tuple
@@ -120,40 +113,19 @@ class Eigenbasis:
     coeffs: np.ndarray
     offsets: np.ndarray
 
-    @classmethod
-    def of(cls, pairs) -> Eigenbasis:
-        """A record as it is, or the record of a sequence of (Level, modes) pairs."""
-        if isinstance(pairs, cls):
-            return pairs
-        pairs = tuple(pairs)
-        return cls(tuple(lv for lv, _ in pairs), *_batch([m for _, modes in pairs for m in modes]),
-                   np.cumsum([0, *(len(modes) for _, modes in pairs)]))
-
     def __len__(self):
         return len(self.levels)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Eigenbasis.of(tuple(self)[i])
+            starts, counts = self.offsets[:-1][i], np.diff(self.offsets)[i]
+            offsets = np.cumsum([0, *counts])
+            rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
+            return Eigenbasis(self.levels[i], self.power[rows], self.rate[rows], self.coeffs[rows], offsets)
         i = range(len(self))[i]  # an IndexError past the end also ends iteration
         lv = self.levels[i]
         rows = self.coeffs[self.offsets[i]:self.offsets[i + 1]].tolist()
         return lv, tuple(Mode(lv.sector, lv.parameter, *c) for c in rows)
-
-    def __add__(self, other) -> Eigenbasis:
-        return Eigenbasis.of(tuple(self) + tuple(other))
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Boundary vectors Psi = (psi(0), psi(l)) and Psi' = (psi'(0), -psi'(l)).
-
-    The minus sign on the second derivative entry makes both entries
-    inward-pointing and is part of the boundary-condition convention.
-    """
-
-    psi_vec: np.ndarray
-    dpsi_vec: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -379,12 +351,6 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> tuple
     return power, rate, _normalized((power, rate, vecs), g.l), rank
 
 
-def _level_modes(p: U2Params, g: BoxGeometry, sector: str, parameter) -> list:
-    """The orthonormal modes of one level, as Mode objects."""
-    coeffs = _sector_modes(p, g, sector, [parameter])[2].tolist()
-    return [Mode(sector, parameter, *c) for c in coeffs]
-
-
 def mode_values(modes, x):
     """psi(x) and psi'(x) of every mode, with the modes on a new trailing axis.
 
@@ -400,62 +366,15 @@ def mode_inner(m1: Mode, m2: Mode, g: BoxGeometry) -> complex:
     return complex(_inner(_batch((m1,)), _batch((m2,)), g.l)[0])
 
 
-def boundary_data(m: Mode, g: BoxGeometry) -> BoundaryData:
-    """Boundary vectors of a mode on the box [0, l].
-
-    An exponent beyond the float range raises OverflowError instead of
-    turning into inf.
-    """
-    power, rate, c = _batch((m,))
-    psi, dpsi = _ends(power, rate, c[:, 0], c[:, 1], g.l)
-    return BoundaryData(psi[0], dpsi[0])
-
-
-def boundary_residual(m: Mode, p: U2Params, g: BoxGeometry) -> float:
-    """Normalized residual of the boundary conditions for this mode.
-
-    Returns |(U - I) Psi + i L0 (U + I) Psi'| divided by |(Psi, L0 Psi')|;
-    zero exactly when the mode satisfies the boundary conditions.
-    """
-    return float(_residuals(_batch((m,)), p, g.l)[0])
-
-
 def residuals_and_norms(modes, p: U2Params, g: BoxGeometry):
     """Boundary residual and squared norm <m, m> of every mode, as two float arrays.
 
-    modes is an `Eigenbasis` record or a sequence of Mode objects.
+    modes is an `Eigenbasis` record or a sequence of Mode objects.  The
+    residual is |(U - I) Psi + i L0 (U + I) Psi'| / |(Psi, L0 Psi')|, zero
+    exactly when the mode meets the boundary conditions.
     """
     batch = _batch(modes)
     return _residuals(batch, p, g.l), _inner(batch, batch, g.l).real
-
-
-def solve_coefficients(p: U2Params, g: BoxGeometry, k: float):
-    """Orthonormal eigenfunctions at a positive-level momentum k.
-
-    Returns one mode for a simple root and two L2-orthonormal modes for an
-    even-order root (nullspace rank 2 is the authoritative degeneracy
-    certificate).  Raises RootNotFoundError when k is not a root.
-    """
-    return _level_modes(p, g, SECTOR_POSITIVE, k)
-
-
-def negative_mode(p: U2Params, g: BoxGeometry, kappa: float) -> Mode:
-    """Normalized bound-type eigenfunction at a negative-level root kappa."""
-    if not kappa > 0.0:
-        raise ConstraintError("kappa must be strictly positive")
-    return _level_modes(p, g, SECTOR_NEGATIVE, kappa)[0]
-
-
-def zero_mode(p: U2Params, g: BoxGeometry) -> Mode:
-    """Normalized zero-energy eigenfunction A x + B.
-
-    Raises SubfamilyError when `zero_mode_exists` is false.  The
-    coefficients span the nullspace of the zero-sector coefficient matrix,
-    found by the same closed form as in the other sectors.
-    """
-    if not zero_mode_exists(p, g):
-        raise SubfamilyError("no zero-energy state at this boundary point")
-    return _level_modes(p, g, SECTOR_ZERO, None)[0]
 
 
 def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int) -> Eigenbasis:
@@ -464,8 +383,8 @@ def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int) -> Eigenbasis:
     Returns an `Eigenbasis` record, read as a tuple of (Level, modes) pairs
     in energy order; a degenerate level carries all of its modes.  The
     levels of each sector are solved together, deepest sector first.
-    Raises ContradictionError when the nullspace rank at a level disagrees
-    with its multiplicity.
+    Raises RootNotFoundError when a level's nullspace is empty, and
+    ContradictionError when its rank disagrees with its multiplicity.
     """
     levels = spectrum(p, g, n_levels).levels
     # levels come in energy order, so each sector's levels are adjacent and in this order
@@ -517,8 +436,8 @@ def scale_invariant_mode(p: U2Params, g: BoxGeometry, s: int, n: int) -> Mode:
     """Closed-form eigenfunction A_s exp(i k x) - A_{-s} exp(-i k x).
 
     The mode is exactly unit-norm but carries the closed-form phase, not the
-    package phase convention; compare against `solve_coefficients` through
-    the modulus of the inner product.
+    package phase convention; compare against the mode of `eigenbasis`
+    through the modulus of the inner product.
     """
     c = scale_invariant_coefficients(p, g, s, n)
     theta = twist_angle(p)
@@ -527,16 +446,6 @@ def scale_invariant_mode(p: U2Params, g: BoxGeometry, s: int, n: int) -> Mode:
     if k_signed <= 0.0:
         raise ConstraintError("branch/index combination gives a non-positive momentum")
     return Mode(SECTOR_POSITIVE, k_signed, a, b)
-
-
-def normalize(m: Mode, g: BoxGeometry) -> Mode:
-    """Unit-norm copy of a mode with a deterministic phase.
-
-    The phase is fixed by rotating the first non-vanishing of psi(0) and
-    psi'(0) onto the positive real axis.
-    """
-    a, b = _normalized(_batch((m,)), g.l)[0].tolist()
-    return Mode(m.sector, m.parameter, a, b)
 
 
 def probability_current(m: Mode, g: BoxGeometry, x) -> float:

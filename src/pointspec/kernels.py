@@ -159,8 +159,8 @@ def spectral_heat_kernel(
 ) -> complex | np.ndarray:
     """Truncated spectral sum sum_n exp(-E_n tau/hbar) psi_n(b) psi_n*(a).
 
-    The sum runs over the modes of `basis`: the record from `eigenbasis`, a
-    leading slice of it, or the same (Level, modes) pairs as a plain tuple.
+    The sum runs over the modes of `basis`, a record from `eigenbasis` or a
+    slice of one.
     The endpoints `a` and `b` are numbers or arrays that broadcast together;
     numbers give a complex, arrays a complex array of the broadcast shape.
     Degenerate partners are summed individually; negative levels enter with
@@ -184,7 +184,6 @@ def spectral_heat_kernel(
     """
     times, one = _times(tau)
     a, b = _check_positions(g, a, b)
-    basis = Eigenbasis.of(basis)
     counts = _per_time(len(basis) if n_levels is None else n_levels, times)
     sizes = []
     for t, n in zip(times, counts):

@@ -166,10 +166,9 @@ class Level:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Energy-ordered list of levels plus the momentum cutoff that was used."""
+    """Energy-ordered list of levels."""
 
     levels: tuple
-    k_max: float
 
     def energies(self) -> list:
         return [lv.energy for lv in self.levels]
@@ -620,22 +619,16 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
 
     out = []
     for lv, roots, n in zip(levels, pos, n_pos):
-        # the cutoff an enlarging search would have stopped at: it starts
-        # at n + 2 Dirichlet levels and grows by 1.6 until it holds n levels
-        k_max = (n + 2) * math.pi / g.l * 1.25
-        while n and roots[n - 1][0] > k_max:
-            k_max *= 1.6
         _check_energy(esc, roots[n - 1][0] if n else 0.0)
         lv += [Level(SECTOR_POSITIVE, k, esc * k**2, mult) for k, mult in roots[:n]]
         lv.sort(key=lambda level: level.energy)
-        out.append(Spectrum(levels=tuple(lv[:n_levels]), k_max=k_max))
+        out.append(Spectrum(levels=tuple(lv[:n_levels])))
     return out
 
 
 def spectrum(p: U2Params, g: BoxGeometry, n_levels: int) -> Spectrum:
     """The n_levels lowest levels: negative, then zero if present, then positive.
 
-    k_max is the momentum cutoff that holds the positive levels listed.
     The zero level is listed when the zero-mode condition holds and states
     lie within k l (or kappa l) = 1e-3 of zero energy, as many as it has;
     roots of either sector that close to zero are then its numerical

@@ -15,7 +15,6 @@ from scipy.integrate import quad
 from pointspec import (
     BoxGeometry,
     FdConfig,
-    boundary_residual,
     build_image_terms,
     eigenbasis,
     fd_spectrum,
@@ -27,14 +26,13 @@ from pointspec import (
     images_needed,
     make_u2,
     reflection_coefficient,
-    solve_coefficients,
+    residuals_and_norms,
     spectral_heat_kernel,
     spectral_levels_needed,
     spectrum,
     theta3,
     twist_angle,
     wall_from_length,
-    zero_mode,
     zero_mode_condition,
     zero_mode_exists,
 )
@@ -72,11 +70,9 @@ def test_criterion_2_mixed_wall_spectrum_and_modes():
     xs = np.linspace(0.0, 1.0, 20001)
     for p, ref_kind in ((make_u2(math.pi / 2, 1j, 0.0), "sin"),
                         (make_u2(math.pi / 2, -1j, 0.0), "cos")):
-        spec = spectrum(p, G1, 8)
-        for n, lv in enumerate(spec.levels):
+        for n, (lv, (m,)) in enumerate(eigenbasis(p, G1, 8)):
             expect = ((n + 0.5) * math.pi) ** 2
             worst_e = max(worst_e, abs(lv.energy - expect) / expect)
-            (m,) = solve_coefficients(p, G1, lv.parameter)
             k = (n + 0.5) * math.pi
             if ref_kind == "sin":
                 ref_vals = math.sqrt(2.0) * np.sin(k * xs)
@@ -135,7 +131,9 @@ def test_criterion_4_zero_mode_law():
         flag = zero_mode_exists(p, G1)
         flags.append(flag)
         if flag:
-            worst_resid = max(worst_resid, boundary_residual(zero_mode(p, G1), p, G1))
+            basis = eigenbasis(p, G1, 3)
+            i = next(i for i, lv in enumerate(basis.levels) if lv.sector == "zero")
+            worst_resid = max(worst_resid, float(residuals_and_norms(basis[i:i + 1], p, G1)[0].max()))
     turn_ons = sum(1 for a, b in zip(flags, flags[1:]) if not a and b)
     ok = turn_ons == 1 and sum(flags) >= 1 and worst_resid < 1e-9
     _report(4, ok, f"existence flag turns on exactly once ({turn_ons}), "

@@ -12,30 +12,26 @@ from pointspec import (
     ConstraintError,
     ContradictionError,
     Eigenbasis,
+    Level,
     Mode,
     RootNotFoundError,
     Spectrum,
     SubfamilyError,
     ZeroFunctionError,
-    boundary_data,
-    boundary_residual,
     eigenbasis,
     find_negative_roots,
     find_positive_roots,
     make_u2,
     mode_inner,
     mode_values,
-    negative_mode,
-    normalize,
     probability_current,
+    residuals_and_norms,
     scale_invariant_coefficients,
     scale_invariant_mode,
-    solve_coefficients,
     spectral_heat_kernel,
     spectral_levels_needed,
     spectrum,
     to_matrix,
-    zero_mode,
 )
 from pointspec import eigenstates
 from helpers import degenerate_negative_point, haar_point, scale_invariant_point
@@ -47,46 +43,63 @@ DIRICHLET = make_u2(0.0, -1.0, 0.0)
 NEUMANN = make_u2(0.0, 1.0, 0.0)
 
 
+def _residual(m, p, g):
+    return float(residuals_and_norms([m], p, g)[0][0])
+
+
+def _first_positive(p, g):
+    """The lowest positive level and its modes; at most two negative and one zero level come first."""
+    return next((lv, modes) for lv, modes in eigenbasis(p, g, 5) if lv.sector == "positive")
+
+
 class TestBoundaryData:
+    """Wall values (psi(0), psi(l)) and inward derivatives (psi'(0), -psi'(l)) from mode_values."""
+
+    @staticmethod
+    def _walls(m):
+        psi, dpsi = mode_values([m], [0.0, G1.l])
+        return psi[:, 0], dpsi[:, 0] * [1.0, -1.0]
+
     def test_sine_mode(self):
-        m = Mode("positive", math.pi, 1 / 2j, -1 / 2j)  # sin(pi x)
-        bd = boundary_data(m, G1)
-        assert np.allclose(bd.psi_vec, [0.0, 0.0], atol=1e-15)
-        assert np.allclose(bd.dpsi_vec, [math.pi, math.pi], atol=1e-12)
+        psi, dpsi = self._walls(Mode("positive", math.pi, 1 / 2j, -1 / 2j))  # sin(pi x)
+        assert np.allclose(psi, [0.0, 0.0], atol=1e-15)
+        assert np.allclose(dpsi, [math.pi, math.pi], atol=1e-12)
 
     def test_constant_mode(self):
-        m = Mode("zero", None, 0.0, 0.7)
-        bd = boundary_data(m, G1)
-        assert np.allclose(bd.psi_vec, [0.7, 0.7])
-        assert np.allclose(bd.dpsi_vec, [0.0, 0.0])
+        psi, dpsi = self._walls(Mode("zero", None, 0.0, 0.7))
+        assert np.allclose(psi, [0.7, 0.7])
+        assert np.allclose(dpsi, [0.0, 0.0])
 
     def test_decaying_exponential(self):
-        m = Mode("negative", 1.0, 0.0, 1.0)
-        bd = boundary_data(m, G1)
-        assert np.allclose(bd.psi_vec, [1.0, math.exp(-1)])
-        assert np.allclose(bd.dpsi_vec, [-1.0, math.exp(-1)])
+        psi, dpsi = self._walls(Mode("negative", 1.0, 0.0, 1.0))
+        assert np.allclose(psi, [1.0, math.exp(-1)])
+        assert np.allclose(dpsi, [-1.0, math.exp(-1)])
 
 
 class TestBoundaryResidual:
     def test_dirichlet_sines(self):
         for n in (1, 2, 5):
             m = Mode("positive", n * math.pi, 1 / 2j, -1 / 2j)
-            assert boundary_residual(m, DIRICHLET, G1) < 1e-12
+            assert _residual(m, DIRICHLET, G1) < 1e-12
 
     def test_neumann_cosines(self):
         for n in (1, 3):
             m = Mode("positive", n * math.pi, 0.5, 0.5)
-            assert boundary_residual(m, NEUMANN, G1) < 1e-12
+            assert _residual(m, NEUMANN, G1) < 1e-12
 
     def test_cosine_violates_dirichlet(self):
         m = Mode("positive", math.pi, 0.5, 0.5)
-        assert boundary_residual(m, DIRICHLET, G1) > 0.1
+        assert _residual(m, DIRICHLET, G1) > 0.1
 
 
 class TestSolveCoefficients:
+    """Positive levels' modes, read from the eigenbasis record."""
+
     def test_dirichlet_sine(self):
+        basis = eigenbasis(DIRICHLET, G1, 3)
         for n in (1, 2, 3):
-            modes = solve_coefficients(DIRICHLET, G1, n * math.pi)
+            lv, modes = basis[n - 1]
+            assert lv.parameter == pytest.approx(n * math.pi, rel=1e-14)
             assert len(modes) == 1
             x = np.linspace(0, 1, 11)
             ref = math.sqrt(2) * np.sin(n * math.pi * x)
@@ -94,70 +107,71 @@ class TestSolveCoefficients:
 
     def test_degenerate_rank_two(self):
         p = make_u2(math.pi / 2, 0.0, 1j)
-        modes = solve_coefficients(p, G1, math.pi)
+        lv, modes = eigenbasis(p, G1, 1)[0]
+        assert lv.parameter == pytest.approx(math.pi, rel=1e-14)
         assert len(modes) == 2
         assert abs(mode_inner(modes[0], modes[1], G1)) < 1e-12
         for m in modes:
             assert abs(mode_inner(m, m, G1) - 1) < 1e-12
-            assert boundary_residual(m, p, G1) < 1e-9
+            assert _residual(m, p, G1) < 1e-9
 
     def test_smooth_circle_plane_wave(self):
         p = make_u2(math.pi / 2, 0.0, -1.0)  # twist pi/2
-        (m,) = solve_coefficients(p, G1, math.pi / 2)
+        lv, (m,) = eigenbasis(p, G1, 1)[0]
+        assert lv.parameter == pytest.approx(math.pi / 2, rel=1e-14)
         # plane wave: |psi| constant, one coefficient negligible
         x = np.linspace(0, 1, 9)
         assert np.ptp(np.abs(m.psi(x))) < 1e-9
         assert min(abs(m.coeff_a), abs(m.coeff_b)) < 1e-9
 
-    def test_not_a_root(self):
-        with pytest.raises(RootNotFoundError):
-            solve_coefficients(DIRICHLET, G1, 1.234)
-
     def test_matches_root_multiplicity(self):
         for _ in range(25):
             p = haar_point(RNG, L0=1.0)
             roots = find_positive_roots(p, G1, 15.0)
-            for k, mult in roots:
-                modes = solve_coefficients(p, G1, k)
+            basis = eigenbasis(p, G1, len(roots) + 2)
+            residuals = residuals_and_norms(basis, p, G1)[0]
+            positive = [(lv, modes, residuals[lo:hi]) for (lv, modes), lo, hi
+                        in zip(basis, basis.offsets, basis.offsets[1:]) if lv.sector == "positive"]
+            for (k, mult), (lv, modes, resid) in zip(roots, positive):
+                assert lv.parameter == k
                 assert len(modes) == mult
-                for m in modes:
-                    assert boundary_residual(m, p, G1) < 1e-9
+                assert np.all(resid < 1e-9)
                 if mult == 2:
                     assert abs(mode_inner(modes[0], modes[1], G1)) < 1e-9
 
 
 class TestZeroMode:
     def test_neumann_constant(self):
-        m = zero_mode(NEUMANN, G1)
+        lv, (m,) = eigenbasis(NEUMANN, G1, 1)[0]
+        assert lv.sector == "zero"
         assert abs(m.psi(0.3) - 1.0) < 1e-12
-        assert boundary_residual(m, NEUMANN, G1) < 1e-12
+        assert _residual(m, NEUMANN, G1) < 1e-12
 
     def test_scale_invariant_pole_constant(self):
         p = make_u2(math.pi / 2, 0.0, -1j)
-        m = zero_mode(p, G1)
+        lv, (m,) = eigenbasis(p, G1, 1)[0]
+        assert lv.sector == "zero"
         x = np.linspace(0, 1, 7)
         assert np.max(np.abs(m.psi(x) - 1.0)) < 1e-7
 
     def test_constant_value_scales_with_length(self):
         g = BoxGeometry(l=4.0)
-        m = zero_mode(NEUMANN, g)
+        lv, (m,) = eigenbasis(NEUMANN, g, 1)[0]
+        assert lv.sector == "zero"
         assert abs(m.psi(1.0) - 0.5) < 1e-12
-
-    def test_dirichlet_refuses(self):
-        with pytest.raises(SubfamilyError):
-            zero_mode(DIRICHLET, G1)
 
 
 class TestNegativeMode:
+    P = make_u2(math.pi / 2, 1.0, 0.0)
+    G = BoxGeometry(l=10.0, hbar=1.0, mass=0.5)
+
     def test_symmetric_pair_parity(self):
-        p = make_u2(math.pi / 2, 1.0, 0.0)
-        g = BoxGeometry(l=10.0, hbar=1.0, mass=0.5)
-        roots = find_negative_roots(p, g)
-        assert len(roots) == 2
-        modes = [negative_mode(p, g, k) for k, _ in roots]
+        p, g = self.P, self.G
+        basis = eigenbasis(p, g, 2)
+        assert [lv.sector for lv, _ in basis] == ["negative"] * 2
+        modes = [m for _, (m,) in basis]
         x = np.linspace(0, 10, 101)
-        for m in modes:
-            assert boundary_residual(m, p, g) < 1e-9
+        assert np.all(residuals_and_norms(basis, p, g)[0] < 1e-9)
         # U commutes with parity here, so the two modes have opposite parity
         sym = [np.max(np.abs(m.psi(x) - s * m.psi(10 - x))) for m, s in
                [(modes[0], 1), (modes[1], -1)]]
@@ -166,16 +180,13 @@ class TestNegativeMode:
         assert min(max(sym), max(alt)) < 1e-6
 
     def test_wall_shape(self):
-        p = make_u2(math.pi / 2, 1.0, 0.0)
-        g = BoxGeometry(l=10.0, hbar=1.0, mass=0.5)
+        p, g = self.P, self.G
         (k1, _), _ = find_negative_roots(p, g)
-        m = negative_mode(p, g, k1)
+        # energy order puts the shallower bound state, the smaller kappa k1, second
+        lv, (m,) = eigenbasis(p, g, 2)[1]
+        assert lv.parameter == k1
         # dominated by exp(-kx) + exp(-k(l-x)) near the walls
         assert abs(m.psi(5.0)) < abs(m.psi(0.0))
-
-    def test_no_root_errors(self):
-        with pytest.raises(RootNotFoundError):
-            negative_mode(DIRICHLET, G1, 1.0)
 
 
 class TestEigenbasis:
@@ -187,13 +198,21 @@ class TestEigenbasis:
         assert [len(modes) for _, modes in basis] == [1, 2, 2, 2]
         for lv, modes in basis:
             assert all(m.sector == lv.sector for m in modes)
-            assert all(boundary_residual(m, p, G1) < 1e-9 for m in modes)
+        assert np.all(residuals_and_norms(basis, p, G1)[0] < 1e-9)
 
     def test_rank_disagreeing_with_multiplicity_raises(self, monkeypatch):
         spec = spectrum(DIRICHLET, G1, 1)
-        doubled = Spectrum((replace(spec.levels[0], multiplicity=2),), spec.k_max)
+        doubled = Spectrum((replace(spec.levels[0], multiplicity=2),))
         monkeypatch.setattr(eigenstates, "spectrum", lambda p, g, n: doubled)
         with pytest.raises(ContradictionError, match="nullspace rank"):
+            eigenbasis(DIRICHLET, G1, 1)
+
+    @pytest.mark.parametrize("level", [Level("positive", 1.234, 1.234**2, 1), Level("negative", 1.0, -1.0, 1),
+                                       Level("zero", None, 0.0, 1)], ids=lambda lv: lv.sector)
+    def test_non_root_raises(self, monkeypatch, level):
+        # Dirichlet walls: k = 1.234 is not a momentum, and no bound or zero state exists
+        monkeypatch.setattr(eigenstates, "spectrum", lambda p, g, n: Spectrum((level,)))
+        with pytest.raises(RootNotFoundError, match=f"{level.sector} parameter .* is not a root"):
             eigenbasis(DIRICHLET, G1, 1)
 
     def test_double_zero_level(self):
@@ -205,7 +224,7 @@ class TestEigenbasis:
             ("zero", 2, 2), ("positive", 1, 1)]
         m1, m2 = basis[0][1]
         assert abs(mode_inner(m1, m2, G1)) < 1e-12
-        assert all(boundary_residual(m, p, G1) < 1e-12 for m in (m1, m2))
+        assert np.all(residuals_and_norms(basis[:1], p, G1)[0] < 1e-12)
 
     @pytest.mark.parametrize(
         "p", [make_u2(0.0, 1.0, 0.0, 1e-15), make_u2(0.0, -1.0, 0.0, 1e12)], ids=["U=I", "U=-I"]
@@ -218,7 +237,7 @@ class TestEigenbasis:
         for lv, modes in basis:
             for m in modes:
                 assert mode_inner(m, m, G1).real == pytest.approx(1.0, abs=1e-12)
-                assert boundary_residual(m, p, G1) < 1e-12
+        assert np.all(residuals_and_norms(basis, p, G1)[0] < 1e-12)
 
 
     @pytest.mark.parametrize("L0", [1e80, 1e99])
@@ -397,7 +416,7 @@ class TestEigenbasisReference:
             for m, c in zip(modes, ref):
                 ref_norm = _ref_inner(ref_basis, c, c, g.l).real
                 assert abs(mode_inner(m, m, g).real - ref_norm) <= 1e-12
-                assert boundary_residual(m, p, g) <= 1e-9
+        assert np.all(residuals_and_norms(basis, p, g)[0] <= 1e-9)
 
 
 @eigenstates._quiet
@@ -458,12 +477,26 @@ class TestEigenbasisRecord:
             basis[n]
         for part in (slice(5), slice(0), slice(3, None), slice(None, None, -2)):
             assert isinstance(basis[part], Eigenbasis) and tuple(basis[part]) == ref[part]
-        other, other_ref = eigenbasis(DIRICHLET, G1, 3), _pairs_ref(DIRICHLET, G1, 3)
-        assert tuple(basis[:5] + other) == ref[:5] + other_ref
-        assert tuple(basis[:5] + other_ref) == ref[:5] + other_ref
         # the pairs of a record, and the modes of each pair, are plain tuples, as before
         level, modes = basis[0]
         assert type(basis[0]) is tuple and type(modes) is tuple
+
+    @pytest.mark.parametrize("name, p, n", POINTS, ids=[c[0] for c in POINTS])
+    def test_slice_builds_no_mode(self, monkeypatch, name, p, n):
+        basis = eigenbasis(p, G1, n)
+        pairs = tuple(basis)
+
+        def refuse(mode):
+            raise AssertionError("a slice of the record built a Mode")
+
+        monkeypatch.setattr(Mode, "__post_init__", refuse)
+        head, stepped = basis[:5], basis[::-2]
+        monkeypatch.undo()
+        for field in ("power", "rate", "coeffs"):
+            got, want = getattr(head, field), getattr(basis, field)[:basis.offsets[5]]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert head.levels == basis.levels[:5] and np.array_equal(head.offsets, basis.offsets[:6])
+        assert tuple(head) == pairs[:5] and tuple(stepped) == pairs[::-2]
 
     @pytest.mark.parametrize("name, p, n", POINTS, ids=[c[0] for c in POINTS])
     def test_kernel_on_a_slice_equals_plain_pairs(self, name, p, n):
@@ -473,7 +506,11 @@ class TestEigenbasisRecord:
         xs = np.linspace(0.0, 1.0, 7)
         a, b = np.meshgrid(xs, xs[::2], indexing="ij", sparse=True)
         got = spectral_heat_kernel(basis[:need], G1, a, b, [tau, 2 * tau])
-        assert np.array_equal(got, spectral_heat_kernel(tuple(basis)[:need], G1, a, b, [tau, 2 * tau]))
+        # the same sum, mode by mode over the slice's (Level, modes) pairs
+        pairs = [(lv.energy, m) for lv, modes in tuple(basis)[:need] for m in modes]
+        for t, kernel in zip([tau, 2 * tau], got):
+            terms = [np.exp(-energy * t / G1.hbar) * m.psi(b) * np.conj(m.psi(a)) for energy, m in pairs]
+            assert np.array_equal(kernel, np.sum(np.stack(terms, axis=-1), axis=-1))
         assert np.array_equal(spectral_heat_kernel(basis, G1, a, b, tau, n_levels=need), got[0])
 
 
@@ -499,7 +536,7 @@ class TestEigenbasisFiniteOrRaise:
                 for m in modes:
                     assert math.isfinite(abs(m.coeff_a)) and math.isfinite(abs(m.coeff_b))
                     assert abs(mode_inner(m, m, g) - 1.0) <= 1e-10
-                    assert boundary_residual(m, p, g) <= 1e-8
+            assert np.all(residuals_and_norms(basis, p, g)[0] <= 1e-8)
 
 
 class TestScaleInvariantClosedForms:
@@ -535,10 +572,13 @@ class TestScaleInvariantClosedForms:
     def test_reproduces_nullspace_modes(self):
         for _ in range(20):
             p = scale_invariant_point(RNG, beta_im_margin=0.05)
+            # the four branch/index pairs below are the four lowest levels
+            basis = eigenbasis(p, G1, 4)
             for s, n in ((+1, 0), (+1, 1), (-1, -1), (-1, -2)):
                 cm = scale_invariant_mode(p, G1, s, n)
                 assert abs(mode_inner(cm, cm, G1) - 1) < 1e-10
-                (sm,) = solve_coefficients(p, G1, cm.parameter)
+                lv, (sm,) = min(basis, key=lambda pair: abs(pair[0].parameter - cm.parameter))
+                assert lv.parameter == pytest.approx(cm.parameter, rel=1e-12)
                 assert abs(mode_inner(cm, sm, G1)) > 1 - 1e-9
 
     def test_wall_intersection_point(self):
@@ -549,7 +589,8 @@ class TestScaleInvariantClosedForms:
         assert c.a_plus == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert c.a_minus == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         cm = scale_invariant_mode(p, G1, +1, 0)
-        (sm,) = solve_coefficients(p, G1, cm.parameter)
+        lv, (sm,) = eigenbasis(p, G1, 1)[0]
+        assert lv.parameter == pytest.approx(cm.parameter, rel=1e-12)
         assert abs(mode_inner(cm, sm, G1)) > 1 - 1e-9
         # and the assembled mode is the half-integer sine of the mixed box
         x = np.linspace(0, 1, 9)
@@ -559,23 +600,24 @@ class TestScaleInvariantClosedForms:
 
 
 class TestNormalize:
+    """The norm and phase convention of eigenbasis's modes."""
+
     def test_sine_scaling(self):
-        m = normalize(Mode("positive", math.pi, 1 / 2j, -1 / 2j), G1)
+        _, (m,) = eigenbasis(DIRICHLET, G1, 1)[0]  # sin(pi x)
         # unit norm and positive slope at the left wall
         assert abs(mode_inner(m, m, G1) - 1) < 1e-12
         assert m.dpsi(0.0).real > 0 and abs(m.dpsi(0.0).imag) < 1e-12
 
     def test_plane_wave_unchanged(self):
-        m = Mode("positive", 2.0, 1.0, 0.0)
-        out = normalize(m, G1)
-        assert out.coeff_a == pytest.approx(1.0)
-        assert out.coeff_b == 0
+        # the Im beta = +1 pole's first mode is the plane wave exp(i pi x)
+        _, (m, _) = eigenbasis(make_u2(math.pi / 2, 0.0, 1j), G1, 1)[0]
+        assert m.coeff_a == pytest.approx(1.0)
+        assert m.coeff_b == 0
 
     def test_quadrature_cross_check(self):
         for _ in range(10):
             p = haar_point(RNG, L0=1.0)
-            k = find_positive_roots(p, G1, 10.0)[0][0]
-            m = solve_coefficients(p, G1, k)[0]
+            m = _first_positive(p, G1)[1][0]
             x = np.linspace(0, 1, 20001)
             num = np.trapezoid(np.abs(m.psi(x)) ** 2, x)
             assert num == pytest.approx(1.0, abs=1e-8)
@@ -583,7 +625,7 @@ class TestNormalize:
     def test_zero_function_error(self):
         m = Mode("positive", 1.0, 1e-200, 0.0)
         with pytest.raises(ZeroFunctionError):
-            normalize(m, BoxGeometry(l=1.0))
+            eigenstates._normalized(eigenstates._batch([m]), 1.0)
 
 
 class TestProbabilityCurrent:
@@ -599,16 +641,15 @@ class TestProbabilityCurrent:
 
     def test_separated_modes_block_current(self):
         p = make_u2(1.1, np.exp(0.6j), 0.0, 2.0)
-        k = find_positive_roots(p, G1, 12.0)[0][0]
-        m = solve_coefficients(p, G1, k)[0]
+        m = _first_positive(p, G1)[1][0]
         assert abs(probability_current(m, G1, 0.0)) < 1e-10
         assert abs(probability_current(m, G1, 1.0)) < 1e-10
 
     def test_global_conservation(self):
         for _ in range(15):
             p = haar_point(RNG, L0=1.0)
-            for k, _m in find_positive_roots(p, G1, 8.0):
-                for m in solve_coefficients(p, G1, k):
+            for _, modes in eigenbasis(p, G1, 4):
+                for m in modes:
                     j0 = probability_current(m, G1, 0.0)
                     jl = probability_current(m, G1, 1.0)
                     assert abs(j0 - jl) < 1e-10
@@ -650,15 +691,7 @@ class TestOrthogonality:
     def test_distinct_levels_orthogonal(self):
         for _ in range(8):
             p = haar_point(RNG, L0=1.0)
-            spec = spectrum(p, G1, 6)
-            modes = []
-            for lv in spec.levels:
-                if lv.sector == "positive":
-                    modes.extend(solve_coefficients(p, G1, lv.parameter))
-                elif lv.sector == "zero":
-                    modes.append(zero_mode(p, G1))
-                else:
-                    modes.append(negative_mode(p, G1, lv.parameter))
+            modes = [m for _, level_modes in eigenbasis(p, G1, 6) for m in level_modes]
             for i in range(len(modes)):
                 for j in range(i + 1, len(modes)):
                     assert abs(mode_inner(modes[i], modes[j], G1)) < 1e-8
