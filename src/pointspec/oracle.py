@@ -6,7 +6,14 @@ approximations of psi'(0) and psi'(l) impose the two boundary conditions and
 eliminate the wall values psi_0 and psi_N.  What remains is the real
 tridiagonal T = t (-1, 2, -1) plus a complex rank-2 term E R in the rows of
 psi_1 and psi_{N-1}, so shift-inverted ARPACK solves with H - sigma in O(N),
-by a tridiagonal solve with T - sigma and a Woodbury correction.  The
+by a tridiagonal solve with T - sigma and a Woodbury correction.
+
+H is self-adjoint in a weighted inner product.  With rho = (-t / 2h) W the
+weights of the wall values in the rows of psi_1 and psi_{N-1}, G H is
+Hermitian for G the identity with Gamma = t (t I + rho)^-1 on those two rows
+and columns.  Gamma has the eigenvalue (3L - 2h) / (2(L - h)) along a Robin
+direction of length L, which is positive unless 2h/3 <= L <= h, where the
+grid does not resolve the wall.  So every eigenvalue is real, and the
 eigenvalues' imaginary parts are asserted to be numerical noise.
 
 The default shift sits just below the lowest level.  Only U's attractive
@@ -15,7 +22,10 @@ every bound state in closed form (Kostrykin-Schrader, J. Phys. A 32 (1999)
 595), with the grid's boundary rows folded in; see `_default_shift`.  A
 shift close to the spectrum keeps the shift-inverted values 1 / (E - sigma)
 apart, which ARPACK converges on in fewer restarts, and keeps its relative
-tolerance on them small next to shallow levels.
+tolerance on them small next to shallow levels.  Below a real spectrum, the
+n levels nearest the shift are the n lowest, so ARPACK is asked for exactly
+those.  Where the window term puts the shift above states beyond spectral's
+negative-root window, the oracle misses them as spectral does.
 
 This discretization shares no code with the transcendental solver and is
 the independent oracle used to validate it.
@@ -154,8 +164,13 @@ def _default_shift(p: U2Params, g: BoxGeometry, n_points: int) -> float:
 def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
     """Lowest n_levels eigenvalues of the discretized Hamiltonian.
 
-    Eigenvalues are returned sorted ascending as real floats; degenerate
-    levels appear as near-equal copies.  Raises ContradictionError when the
+    ARPACK converges exactly the n_levels eigenvalues nearest the shift,
+    which are the lowest because the spectrum is real and the shift sits
+    below it; a shift above some levels (an explicit one, or the default's
+    window term) returns those nearest it instead.  Eigenvalues are
+    returned sorted ascending as real floats; degenerate levels appear as
+    near-equal copies, and a count that cuts a degenerate level returns
+    one copy of it.  Raises ContradictionError when the
     eigensolver fails or the eigenvalues come out measurably complex.
     """
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
@@ -177,11 +192,11 @@ def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
     # so a level carries up to about 1e-10 |E - sigma| of solver error: far
     # below the grid's O(h^2) error near a shallow shift, not at a deep one
     try:
-        vals = eigs(H, k=min(n_levels + 2, cfg.n_points - 2), sigma=sigma, which="LM", v0=v0,
+        vals = eigs(H, k=n_levels, sigma=sigma, which="LM", v0=v0,
                     tol=1e-10, return_eigenvectors=False, maxiter=5000, OPinv=OPinv)
     except (ArpackError, ArpackNoConvergence) as exc:
         raise ContradictionError(f"eigensolver failed: {exc}") from exc
-    vals = vals[np.argsort(vals.real)][:n_levels]
+    vals = vals[np.argsort(vals.real)]
     for ev in vals:
         if abs(ev.imag) > 1e-9 * max(g.energy_scale, abs(ev.real)):
             raise ContradictionError(f"eigenvalue {ev!r} has a non-negligible imaginary part")

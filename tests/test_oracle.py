@@ -25,6 +25,13 @@ RNG = np.random.default_rng(20240816)
 G1 = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
 DIRICHLET = make_u2(0.0, -1.0, 0.0)
 NEUMANN = make_u2(0.0, 1.0, 0.0)
+TWISTED_CIRCLE = make_u2(math.pi / 2, 0.0, complex(math.sin(0.3 * math.pi), -math.cos(0.3 * math.pi)))
+PLUS_POLE = make_u2(math.pi / 2, 0.0, 1j)
+MINUS_POLE = make_u2(math.pi / 2, 0.0, -1j)
+# the first point of the oracle-fd benchmark workload, which it runs at N = 40000
+BENCH_POINT = make_u2(0.14344562592957516, complex(-0.6688872413649128, 0.5962126183952385),
+                      complex(0.4397302543359999, -0.06129988113469101), 7.036861128273138)
+BENCH_GEOMETRY = BoxGeometry(l=1.5217103872897293, hbar=1.0, mass=0.5074474440282601)
 
 
 class TestFdConfig:
@@ -113,13 +120,37 @@ class TestEigensolverAccuracy:
 
     def test_default_shift_matches_a_shift_below_the_lowest_level(self):
         # oracle-fd benchmark point: where the shift sits below the levels moves them by tol only
-        p = make_u2(0.14344562592957516, complex(-0.6688872413649128, 0.5962126183952385),
-                    complex(0.4397302543359999, -0.06129988113469101), 7.036861128273138)
-        g = BoxGeometry(l=1.5217103872897293, hbar=1.0, mass=0.5074474440282601)
+        p, g = BENCH_POINT, BENCH_GEOMETRY
         vals = fd_spectrum(p, g, FdConfig(n_points=40000), 8)
         shift = vals[0] - max(0.1 * abs(vals[0]), g.energy_scale)
         ref = fd_spectrum(p, g, FdConfig(n_points=40000, shift=shift), 8)
         assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 3e-8
+
+    # the poles' levels above the lowest come in pairs: at Im beta = +1 an odd count cuts
+    # one, at Im beta = -1, whose lowest level is simple, an even count does
+    TIGHT_CASES = [
+        ("oracle-fd", BENCH_POINT, BENCH_GEOMETRY, 40000, 8),
+        ("haar-bound-state", haar_point(np.random.default_rng(1), L0=1.0), G1, 4000, 8),
+        ("twisted-circle", TWISTED_CIRCLE, G1, 4000, 8),
+        ("dirichlet-neumann", make_u2(math.pi / 2, 1j, 0.0), G1, 4000, 8),
+    ] + [(f"{name}-{n}", p, G1, 4000, n)
+         for name, p in (("plus-pole", PLUS_POLE), ("minus-pole", MINUS_POLE)) for n in range(2, 8)]
+
+    @pytest.mark.parametrize("name, p, g, n_points, n_levels", TIGHT_CASES, ids=[c[0] for c in TIGHT_CASES])
+    def test_matches_a_tight_reference(self, name, p, g, n_points, n_levels):
+        # ARPACK asked for exactly n_levels: the levels of a run that converges two more, to
+        # tol 1e-14 in a wider Krylov space, from another start, on the same operators and shift
+        from scipy.sparse.linalg import eigs
+
+        two_t = 2.0 * oracle._grid(g, n_points)[1]
+        sigma = two_t - (two_t - oracle._default_shift(p, g, n_points))
+        H, OPinv = oracle._shift_invert(p, g, n_points, sigma)
+        v0 = np.random.default_rng(1).standard_normal(n_points)
+        ref = eigs(H, k=n_levels + 2, sigma=sigma, which="LM", v0=v0, tol=1e-14, ncv=40,
+                   return_eigenvectors=False, OPinv=OPinv)
+        ref = np.sort(ref.real)[:n_levels]
+        vals = fd_spectrum(p, g, FdConfig(n_points=n_points), n_levels)
+        assert np.max(np.abs(vals - ref) / np.maximum(np.abs(ref), g.energy_scale)) <= 1e-12
 
     def test_repeated_calls_are_bit_identical(self):
         p = haar_point(np.random.default_rng(7), L0=1.0)
@@ -161,15 +192,19 @@ class TestDefaultShift:
             assert oracle._default_shift(p, G1, 4000) == window
 
 
-def _lil_matrix(p, g, n_points):
-    """The reduced matrix built as LIL with the eight corner entries edited in place."""
-    n_cells = n_points + 1
-    h = g.l / n_cells
+def _wall_weights(p, g, n_points):
+    """h, t, the wall-elimination matrix B, and W, with (psi_0, psi_N) = W (r0, rN)."""
+    h = g.l / (n_points + 1)
     t = g.hbar**2 / (2.0 * g.mass * h * h)
     U = to_matrix(p)
     eye2 = np.eye(2)
     B = (U - eye2) - (3j * p.L0 / (2.0 * h)) * (U + eye2)
-    W = -1j * p.L0 * np.linalg.solve(B, (U + eye2))
+    return h, t, B, -1j * p.L0 * np.linalg.solve(B, (U + eye2))
+
+
+def _lil_matrix(p, g, n_points):
+    """The reduced matrix built as LIL with the eight corner entries edited in place."""
+    h, t, _, W = _wall_weights(p, g, n_points)
     main = np.full(n_points, 2.0 * t, dtype=complex)
     off = np.full(n_points - 1, -t, dtype=complex)
     H = sp.diags([off, main, off], [-1, 0, 1], format="lil", dtype=complex)
@@ -186,8 +221,8 @@ class TestAssembly:
     POINTS = [
         ("haar", haar_point(np.random.default_rng(11), L0=1.0)),
         ("dirichlet-dirichlet", DIRICHLET),
-        ("twisted-circle", make_u2(math.pi / 2, 0.0, complex(math.sin(0.3 * math.pi), -math.cos(0.3 * math.pi)))),
-        ("plus-pole", make_u2(math.pi / 2, 0.0, 1j)),
+        ("twisted-circle", TWISTED_CIRCLE),
+        ("plus-pole", PLUS_POLE),
     ]
 
     @pytest.mark.parametrize("n_points", [64, 40000])
@@ -212,3 +247,39 @@ class TestAssembly:
         norm_a = np.max(np.asarray(abs(A).sum(axis=1)))
         residual = np.max(np.abs(A @ x - b))
         assert residual <= 1e-14 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+
+
+class TestWeightedSelfAdjoint:
+    """G H is Hermitian for a positive definite G, so every level of H is real.
+
+    With rho = (-t / 2h) W the weights of the wall values in the rows of psi_1
+    and psi_{N-1}, G is the identity with Gamma = t (t I + rho)^-1 on the rows
+    and columns (0, N-1).  Gamma has the eigenvalue (3L - 2h) / (2(L - h)) along
+    a Robin direction of length L: 1 at a Dirichlet and 3/2 at a Neumann wall.
+    """
+
+    POINTS = TestAssembly.POINTS + [("minus-pole", MINUS_POLE)]
+
+    @pytest.mark.parametrize("n_points", [64, 40000])
+    @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
+    def test_weighted_matrix_is_hermitian(self, name, p, n_points):
+        h, t, B, W = _wall_weights(p, G1, n_points)
+        gamma = t * np.linalg.inv(t * np.eye(2) + (-t / (2.0 * h)) * W)
+        # W's solve loses the condition number of B to rounding
+        tol = 1e-15 * np.linalg.cond(B)
+        ends = [0, 0, n_points - 1, n_points - 1], [0, n_points - 1, 0, n_points - 1]
+        G = sp.identity(n_points, dtype=complex) + sp.coo_matrix(((gamma - np.eye(2)).ravel(), ends),
+                                                                 shape=(n_points, n_points))
+        GH = (G @ _lil_matrix(p, G1, n_points)).tocsr()
+        assert abs(GH - GH.conj().T).max() <= tol * abs(GH).max()
+        assert np.max(np.abs(gamma - gamma.conj().T)) <= tol
+        expected = sorted(1.5 if L == math.inf else (3.0 * L - 2.0 * h) / (2.0 * (L - h))
+                          for L in direction_lengths(p))
+        eig = np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T))
+        assert np.max(np.abs(eig - expected)) <= tol
+        assert eig[0] > 0.0
+
+    @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
+    def test_levels_are_real(self, name, p):
+        vals = np.linalg.eigvals(_lil_matrix(p, G1, 64).toarray())
+        assert np.max(np.abs(vals.imag)) <= 1e-14 * np.max(np.abs(vals))
