@@ -3,29 +3,29 @@
 The free Hamiltonian H = -(hbar^2/2m) d^2/dx^2 is discretized on a uniform
 grid with second-order central differences; one-sided second-order
 approximations of psi'(0) and psi'(l) impose the two boundary conditions and
-eliminate the wall values psi_0 and psi_N.  What remains is the real
-tridiagonal T = t (-1, 2, -1) plus a complex rank-2 term E R in the rows of
-psi_1 and psi_{N-1}, so shift-inverted ARPACK solves with H - sigma in O(N),
-by a tridiagonal solve with T - sigma and a Woodbury correction.
+eliminate the wall values psi_0 and psi_N.  What remains is T = t (-1, 2, -1)
+plus a complex rank-2 term in the wall rows B = (0, N-1) (psi_1, psi_{N-1}).
 
-H is self-adjoint in a weighted inner product.  With rho = (-t / 2h) W the
-weights of the wall values in the rows of psi_1 and psi_{N-1}, G H is
-Hermitian for G the identity with Gamma = t (t I + rho)^-1 on those two rows
-and columns.  Gamma has the eigenvalue (3L - 2h) / (2(L - h)) along a Robin
-direction of length L, which is positive unless 2h/3 <= L <= h, where the
-grid does not resolve the wall.  So every eigenvalue is real, and the
-eigenvalues' imaginary parts are asserted to be numerical noise.
+With rho = (-t / 2h) W the weights of the wall values in those rows, G H is
+Hermitian for G the identity with Gamma = t (t I + rho)^-1 on B.  Gamma has
+the eigenvalue (3L - 2h) / (2(L - h)) along a Robin direction of length L,
+positive unless 2h/3 <= L <= h, where the grid does not resolve the wall and
+is refused.  So (G H, G) is a definite pencil, its levels are real, and by
+Sylvester's law nu(G (H - x)) of them lie below x, nu counting negative
+eigenvalues.  The Schur complement onto B of the interior, the Dirichlet
+chain T_M of size M = N - 2, splits that Sturm count (Barth, Martin and
+Wilkinson, Numer. Math. 9 (1967) 386) into nu(T_M - x), the number of j
+with 4t sin^2(j pi / 2(M+1)) < x, and nu(Gamma S(x)), where Gamma S(x) =
+Gamma H_BB - x Gamma - t^2 C(x) and t C = [[sin M theta, sin theta], [sin
+theta, sin M theta]] / sin((M+1) theta), 2 cos theta = 2 - x / t, is the
+chain's corner Green's function: O(1) per count, whatever N.
 
-The default shift sits just below the lowest level.  Only U's attractive
-eigen-directions bind, so the Robin lengths L > 0 of those directions bound
-every bound state in closed form (Kostrykin-Schrader, J. Phys. A 32 (1999)
-595), with the grid's boundary rows folded in; see `_default_shift`.  A
-shift close to the spectrum keeps the shift-inverted values 1 / (E - sigma)
-apart, which ARPACK converges on in fewer restarts, and keeps its relative
-tolerance on them small next to shallow levels.  Below a real spectrum, the
-n levels nearest the shift are the n lowest, so ARPACK is asked for exactly
-those.  Where the window term puts the shift above states beyond spectral's
-negative-root window, the oracle misses them as spectral does.
+The default shift sits just below the lowest level: only U's attractive
+eigen-directions bind, and their Robin lengths bound every bound state in
+closed form (Kostrykin-Schrader, J. Phys. A 32 (1999) 595); see
+`_default_shift`.  The n levels nearest the shift are kept, the n lowest
+below a real spectrum; a window term that puts the shift above states beyond
+spectral's window leaves the oracle as blind to them as spectral.
 
 This discretization shares no code with the transcendental solver and is
 the independent oracle used to validate it.
@@ -49,20 +49,20 @@ __all__ = ["FdConfig", "fd_spectrum"]
 class FdConfig:
     """Discretization parameters.
 
-    n_points is the interior matrix dimension (>= 16).  shift is the
-    spectral point the eigensolver inverts around, meant to sit below the
-    lowest level; None selects 1.1 times the closed-form depth of U's
-    attractive directions on this grid, or of spectral's negative-root
-    window where that is shallower.  The window is not certified, so
-    neither is the default: it can sit above the grid's lowest level.
+    n_points is the interior matrix dimension (>= 16).  shift is the energy
+    the returned levels are nearest to, meant to sit below the lowest level;
+    None selects 1.1 times the closed-form depth of U's attractive directions
+    on this grid, or of spectral's negative-root window where that is
+    shallower, which is not certified: it can sit above the lowest level.
+    The levels are bisected on a closed-form count, with no eigensolver.
     """
 
     n_points: int
     shift: float | None = None
 
     def __post_init__(self):
-        if self.n_points < 16:
-            raise ConstraintError("n_points must be at least 16")
+        if self.n_points < 16 or not math.isfinite(self.shift or 0.0):
+            raise ConstraintError("n_points must be at least 16" if self.n_points < 16 else "shift must be finite")
 
 
 def _grid(g: BoxGeometry, n_points: int):
@@ -71,51 +71,61 @@ def _grid(g: BoxGeometry, n_points: int):
     return h, g.hbar**2 / (2.0 * g.mass * h * h)
 
 
-def _shift_invert(p: U2Params, g: BoxGeometry, n_points: int, sigma: float):
-    """The reduced Hamiltonian H and the solve with H - sigma, as linear operators."""
-    from scipy.linalg.lapack import zgttrf, zgttrs
-    from scipy.sparse.linalg import LinearOperator
-
+def _wall_blocks(p: U2Params, g: BoxGeometry, n_points: int):
+    """H_BB and Gamma; the wall rows' coupling H_BI = -(t I + rho) to the chain's ends is -t Gamma^-1."""
     h, t = _grid(g, n_points)
+    for L in direction_lengths(p):
+        if 2.0 * h / 3.0 <= L <= h:
+            raise ConstraintError(f"the grid step h = {h:.6g} does not resolve the wall's Robin length "
+                                  f"L = {L:.6g} (2h/3 <= L <= h); use more points")
     U, eye2 = to_matrix(p), np.eye(2)
     # boundary rows: B (psi_0, psi_N)^t = -i L0 (U+I) (r0, rN)^t with
     # r0 = (4 psi_1 - psi_2)/(2h), rN = (4 psi_{N-1} - psi_{N-2})/(2h)
     B = (U - eye2) - (3j * p.L0 / (2.0 * h)) * (U + eye2)
     if not np.linalg.cond(B) <= 1e12:  # nan and inf included
         raise ContradictionError("wall-elimination system is ill conditioned; change n_points")
-    W = -1j * p.L0 * np.linalg.solve(B, (U + eye2))
-    # the rows of psi_1 and psi_{N-1} gain -t psi_0 and -t psi_N, where
-    # (psi_0, psi_N) = W (r0, rN): R holds those weights on the columns cols
-    ends, cols = [0, n_points - 1], [0, 1, n_points - 1, n_points - 2]
-    R = (-t / (2.0 * h)) * np.kron(W, [4.0, -1.0])
+    # the wall rows gain -t psi_0 and -t psi_N, where (psi_0, psi_N) = W (r0, rN)
+    rho = (-t / (2.0 * h)) * (-1j * p.L0 * np.linalg.solve(B, U + eye2))
+    return 2.0 * t * eye2 + 4.0 * rho, t * np.linalg.inv(t * eye2 + rho)
 
-    def apply_h(v):
-        y = np.multiply(2.0 * t, v, dtype=complex)
-        y[1:] -= t * v[:-1]
-        y[:-1] -= t * v[1:]
-        y[ends] += R @ v[cols]
-        return y
 
-    # Woodbury: (H - sigma)^-1 = (I - Z K) (T - sigma)^-1, Z = (T - sigma)^-1 E, K = (I + R Z)^-1 R
-    off = np.full(n_points - 1, -t, dtype=complex)
-    *lu, info = zgttrf(off, np.full(n_points, 2.0 * t - sigma, dtype=complex), off)
-    if info != 0:
-        raise ContradictionError(f"T - sigma is singular at sigma = {sigma!r}")
-    Z, _ = zgttrs(*lu, np.vstack([[1.0, 0.0], np.zeros((n_points - 2, 2)), [0.0, 1.0]]))
-    try:
-        K = np.linalg.solve(eye2 + R @ Z[cols], R)
-    except np.linalg.LinAlgError as exc:
-        raise ContradictionError(f"H - sigma is singular at sigma = {sigma!r}") from exc
+def _level_count(p: U2Params, g: BoxGeometry, n_points: int):
+    """x -> the number of levels below x, nu(T_M - x) + nu(Gamma S(x)), for arrays x.
 
-    def solve(b):
-        y, _ = zgttrs(*lu, b)
-        c = K @ y[cols]
-        # not Z @ c: numpy's threaded matmul leaves its BLAS threads spinning against ARPACK's
-        y -= Z[:, 0] * c[0]
-        y -= Z[:, 1] * c[1]
-        return y
+    In the basis (e_0 +- e_1) / sqrt 2, t C = diag(cos / cos, sin / sin) of ((M-1) theta/2,
+    (M+1) theta/2), each pole in one entry; in the band Gamma S is scaled by the congruence
+    diag(cos, sin)((M+1) theta/2).  Those factors and nu(T_M - x) come from one phase
+    (M+1) theta = pi (nu + r), 0 < r <= 1, so they agree at a pole, and the larger pivot
+    keeps a vanishing pole entry's sign.  Outside the band theta = i phi (below) or pi + i phi.
+    """
+    t, m = _grid(g, n_points)[1], n_points - 2
+    h_bb, gam = _wall_blocks(p, g, n_points)
+    rot = np.array([[1.0, 1.0], [1.0, -1.0]])  # to (e_0 +- e_1) / sqrt 2, times sqrt 2
+    # Gamma H_BI = -t I, so Gamma S(x) / t = I + D - (x / t) Gamma - t C(x), D = Gamma H_BB / t - I
+    d, gam = (rot @ (a + a.conj().T) @ rot / 4.0 for a in (gam @ h_bb / t - np.eye(2), gam))
+    gp, gm, go, dp, dm, do = gam[0, 0].real, gam[1, 1].real, gam[0, 1], d[0, 0].real, d[1, 1].real, d[0, 1]
 
-    return tuple(LinearOperator((n_points, n_points), f, dtype=complex) for f in (apply_h, solve))
+    def count(x):
+        q = np.asarray(x, dtype=float) / (4.0 * t)  # sin^2(theta / 2), and 1 - cos(theta) = 2q
+        s, inside, below = np.clip(q, 0.0, 1.0), (q > 0.0) & (q < 1.0), q <= 0.0
+        z = (2 * m + 2) / math.pi * np.arcsin(np.sqrt(s))
+        nu = np.ceil(z) - 1.0
+        u, v, odd = np.sin(0.5 * math.pi * (z - nu)), np.cos(0.5 * math.pi * (z - nu)), nu % 2.0 == 1.0
+        cos2, sin2, cs = np.where(odd, u * u, v * v), np.where(odd, v * v, u * u), np.where(odd, -u, u) * v
+        cs_sin = cs * 2.0 * np.sqrt(s * (1.0 - s))
+        phi = np.maximum(2.0 * np.arcsinh(np.sqrt(np.abs(q - (q > 0.5)))), 1e-300)
+        den = -np.expm1(-2.0 * (m + 1) * phi)  # sinh ratios, exp-scaled
+        a = np.where(below, 1.0, -1.0) * np.exp(-phi) * -np.expm1(-2.0 * m * phi) / den
+        b = np.where(below, 1.0, (-1.0) ** m) * np.exp(-m * phi) * -np.expm1(-2.0 * phi) / den
+        y_p = np.where(inside, cos2 * (2.0 * s + dp - 4.0 * q * gp) - cs_sin, 1.0 + dp - 4.0 * q * gp - a - b)
+        y_m = np.where(inside, sin2 * (2.0 * s + dm - 4.0 * q * gm) + cs_sin, 1.0 + dm - 4.0 * q * gm - a + b)
+        off = np.abs(np.where(inside, cs, 1.0) * (do - 4.0 * q * go))
+        big = np.abs(y_p) >= np.abs(y_m)
+        pivot, rest = np.where(big, y_p, y_m), np.where(big, y_m, y_p)
+        pivot = np.where(pivot == 0.0, 1.0, pivot)  # both zero: one negative eigenvalue iff off != 0
+        return np.where(inside, nu, np.where(below, 0.0, m)) + (pivot < 0.0) + (rest - off * off / pivot < 0.0)
+
+    return count
 
 
 def _robin_depth(p: U2Params, g: BoxGeometry, n_points: int) -> float:
@@ -162,42 +172,32 @@ def _default_shift(p: U2Params, g: BoxGeometry, n_points: int) -> float:
 
 
 def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
-    """Lowest n_levels eigenvalues of the discretized Hamiltonian.
+    """The n_levels levels of the discretized Hamiltonian nearest the shift, ascending.
 
-    ARPACK converges exactly the n_levels eigenvalues nearest the shift,
-    which are the lowest because the spectrum is real and the shift sits
-    below it; a shift above some levels (an explicit one, or the default's
-    window term) returns those nearest it instead.  Eigenvalues are
-    returned sorted ascending as real floats; degenerate levels appear as
-    near-equal copies, and a count that cuts a degenerate level returns
-    one copy of it.  Raises ContradictionError when the
-    eigensolver fails or the eigenvalues come out measurably complex.
+    With m levels below the shift, levels m - n_levels ... m + n_levels - 1 are bisected
+    on the count together, to a few ulps: there is no eigensolver and no solver tolerance.
+    A degenerate level appears as near-equal copies; a count that cuts one returns one.
     """
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
-
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")
     if n_levels > cfg.n_points // 4:
         raise ConstraintError("n_levels must be far below n_points")
     sigma = cfg.shift if cfg.shift is not None else _default_shift(p, g, cfg.n_points)
-    # T - sigma holds 2t - sigma rounded to the ulp of 2t, which moves sigma by
-    # up to eps (N + 1)^2 energy scales: the levels are mapped back from
-    # 1 / (E - sigma) with the shift that was factored, not the one asked for
-    two_t = 2.0 * _grid(g, cfg.n_points)[1]
-    sigma = two_t - (two_t - sigma)
-    H, OPinv = _shift_invert(p, g, cfg.n_points, sigma)
-    # seeded for reproducible output; a constant vector misses odd modes of a symmetric box
-    v0 = np.random.default_rng(0).standard_normal(cfg.n_points)
-    # ARPACK's tol is relative to the shift-inverted eigenvalue 1 / (E - sigma),
-    # so a level carries up to about 1e-10 |E - sigma| of solver error: far
-    # below the grid's O(h^2) error near a shallow shift, not at a deep one
-    try:
-        vals = eigs(H, k=n_levels, sigma=sigma, which="LM", v0=v0,
-                    tol=1e-10, return_eigenvectors=False, maxiter=5000, OPinv=OPinv)
-    except (ArpackError, ArpackNoConvergence) as exc:
-        raise ContradictionError(f"eigensolver failed: {exc}") from exc
-    vals = vals[np.argsort(vals.real)]
-    for ev in vals:
-        if abs(ev.imag) > 1e-9 * max(g.energy_scale, abs(ev.real)):
-            raise ContradictionError(f"eigenvalue {ev!r} has a non-negligible imaginary part")
-    return vals.real.copy()
+    count = _level_count(p, g, cfg.n_points)
+    t, m = _grid(g, cfg.n_points)[1], cfg.n_points - 2
+    below = int(count(sigma))
+    j = np.arange(max(0, below - n_levels), min(below + n_levels, cfg.n_points))
+    # count(x) >= nu(T_M - x) (Cauchy interlacing): E_j <= 4t sin^2((j + 1) pi / 2(M+1)) for j < M
+    top = 4.0 * t
+    while count(top) <= j[-1]:
+        top *= 2.0
+    hi = np.where(j < m, 4.0 * t * np.sin((j + 1) * math.pi / (2 * (m + 1))) ** 2, top)
+    lo = min(sigma, 0.0) - g.energy_scale
+    while count(lo) > j[0]:
+        lo *= 2.0
+    while np.any(hi - lo > 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), g.energy_scale)):
+        mid = 0.5 * (lo + hi)
+        above = count(mid) > j
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    levels = 0.5 * (lo + hi)
+    return np.sort(levels[np.argsort(np.abs(levels - sigma), kind="stable")[:n_levels]])

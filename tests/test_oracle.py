@@ -1,13 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from mpmath import mp
 
 from pointspec import (
     BoxGeometry,
     ConstraintError,
-    ContradictionError,
     FdConfig,
     direction_lengths,
     fd_spectrum,
@@ -38,6 +39,12 @@ class TestFdConfig:
     def test_min_points(self):
         with pytest.raises(ConstraintError):
             FdConfig(n_points=8)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_shift_must_be_finite(self, shift):
+        # a bisection bracket at a non-finite shift never closes
+        with pytest.raises(ConstraintError, match="shift must be finite"):
+            FdConfig(n_points=64, shift=shift)
 
     def test_levels_far_below_points(self):
         with pytest.raises(ConstraintError):
@@ -109,17 +116,17 @@ class TestEigensolverAccuracy:
     @pytest.mark.parametrize("n_points", [4000, 40000])
     def test_dirichlet_matches_the_discrete_levels(self, n_points):
         # at the Dirichlet point the matrix is the bare tridiagonal, whose levels are known
-        # in closed form: the eigensolver's own error, far below the grid's O(h^2)
+        # in closed form: the count's own error, far below the grid's O(h^2)
         h = G1.l / (n_points + 1)
         t = G1.hbar**2 / (2.0 * G1.mass * h * h)
         j = np.arange(1, 9)
         # 2t (1 - cos x) written without its cancellation, which costs 1e-8 at N = 40000
         exact = 4.0 * t * np.sin(j * math.pi / (2 * (n_points + 1))) ** 2
         vals = fd_spectrum(DIRICHLET, G1, FdConfig(n_points=n_points), 8)
-        assert np.max(np.abs(vals - exact) / exact) <= 1e-8
+        assert np.max(np.abs(vals - exact) / exact) <= 1e-13
 
     def test_default_shift_matches_a_shift_below_the_lowest_level(self):
-        # oracle-fd benchmark point: where the shift sits below the levels moves them by tol only
+        # oracle-fd benchmark point: where the shift sits below the levels moves only their last bits
         p, g = BENCH_POINT, BENCH_GEOMETRY
         vals = fd_spectrum(p, g, FdConfig(n_points=40000), 8)
         shift = vals[0] - max(0.1 * abs(vals[0]), g.energy_scale)
@@ -138,18 +145,19 @@ class TestEigensolverAccuracy:
 
     @pytest.mark.parametrize("name, p, g, n_points, n_levels", TIGHT_CASES, ids=[c[0] for c in TIGHT_CASES])
     def test_matches_a_tight_reference(self, name, p, g, n_points, n_levels):
-        # ARPACK asked for exactly n_levels: the levels of a run that converges two more, to
-        # tol 1e-14 in a wider Krylov space, from another start, on the same operators and shift
-        from scipy.sparse.linalg import eigs
-
-        two_t = 2.0 * oracle._grid(g, n_points)[1]
-        sigma = two_t - (two_t - oracle._default_shift(p, g, n_points))
-        H, OPinv = oracle._shift_invert(p, g, n_points, sigma)
-        v0 = np.random.default_rng(1).standard_normal(n_points)
-        ref = eigs(H, k=n_levels + 2, sigma=sigma, which="LM", v0=v0, tol=1e-14, ncv=40,
-                   return_eigenvectors=False, OPinv=OPinv)
-        ref = np.sort(ref.real)[:n_levels]
+        # the 40-digit count puts exactly j levels below v_j - tol and j + 1 below v_j + tol
+        count = _mp_level_count(p, g, n_points)
         vals = fd_spectrum(p, g, FdConfig(n_points=n_points), n_levels)
+        for j, v in enumerate(vals):
+            tol = 2e-10 * max(abs(v), g.energy_scale)
+            assert count(v - tol) <= j < count(v + tol)
+
+    DENSE_CASES = [c[:3] for c in TIGHT_CASES if c[4] in (2, 8)]  # each point once
+
+    @pytest.mark.parametrize("name, p, g", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+    def test_matches_dense_levels(self, name, p, g):
+        ref = np.sort(np.linalg.eigvals(_lil_matrix(p, g, 16).toarray()).real)[:4]
+        vals = fd_spectrum(p, g, FdConfig(n_points=16), 4)
         assert np.max(np.abs(vals - ref) / np.maximum(np.abs(ref), g.energy_scale)) <= 1e-12
 
     def test_repeated_calls_are_bit_identical(self):
@@ -158,10 +166,19 @@ class TestEigensolverAccuracy:
         second = fd_spectrum(p, G1, FdConfig(n_points=4000), 5)
         assert np.array_equal(first, second)
 
-    def test_singular_shift_is_a_contradiction(self):
-        # 17 points, h = 1/18, t = 18^2: at shift 2t, T - sigma = t (-1, 0, -1), singular for odd N
-        with pytest.raises(ContradictionError):
-            fd_spectrum(DIRICHLET, G1, FdConfig(n_points=17, shift=2.0 * 18.0**2), 1)
+    SHIFT_CASES = [
+        # 17 points, h = 1/18, t = 18^2: 2t is the middle Dirichlet level, flanked by two at equal distance
+        ("band-middle", DIRICHLET, 17, 2.0 * 18.0**2),
+        # attractive walls of Robin length 0.6 h put a double level at 14.3 t, above the chain's band
+        ("above-the-band", make_u2(math.pi - 2.0 * math.atan(0.6 / 17.0), 1.0, 0.0), 16, 50.0 * 17.0**2),
+    ]
+
+    @pytest.mark.parametrize("name, p, n_points, sigma", SHIFT_CASES, ids=[c[0] for c in SHIFT_CASES])
+    def test_explicit_shift_keeps_the_nearest_levels(self, name, p, n_points, sigma):
+        ref = np.linalg.eigvals(_lil_matrix(p, G1, n_points).toarray()).real
+        ref = np.sort(ref[np.argsort(np.abs(ref - sigma))[:3]])
+        vals = fd_spectrum(p, G1, FdConfig(n_points=n_points, shift=sigma), 3)
+        assert np.max(np.abs(vals - ref) / ref) <= 1e-12
 
 
 class TestDefaultShift:
@@ -217,6 +234,42 @@ def _lil_matrix(p, g, n_points):
     return H.tocsc()
 
 
+def _mp_level_count(p, g, n_points):
+    """x -> the number of levels below x, counted in 40 digits on the wall rows.
+
+    Sylvester's law on G (H - x): the interior chain T_M = t (-1, 2, -1), with
+    T_M - x singular at 4t sin^2(j pi / 2(M+1)), and the Schur complement
+    Gamma (H_BB - x) - t^2 C(x) onto the wall rows, C the chain's corner
+    Green's function, t C = [[sin M theta, sin theta], [sin theta, sin M theta]]
+    / sin((M+1) theta) with cos theta = 1 - x / 2t (complex outside the band).
+    """
+    h, t, _, W = _wall_weights(p, g, n_points)
+    m = n_points - 2
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        rho = mp.matrix([[mp.mpc(complex(w)) for w in row] for row in W]) * (-t / (2 * mp.mpf(h)))
+        gamma = t * (t * mp.eye(2) + rho) ** -1
+        h_bb = 2 * t * mp.eye(2) + 4 * rho
+
+    def count(x):
+        with mp.workdps(40):
+            x = mp.mpf(x)
+            theta = mp.acos(1 - x / (2 * t))
+            a, b = (mp.sin(m * theta) / mp.sin((m + 1) * theta)).real, (mp.sin(theta) / mp.sin((m + 1) * theta)).real
+            X = gamma * (h_bb - x * mp.eye(2)) - t * mp.matrix([[a, b], [b, a]])
+            mid = (X[0, 0].real + X[1, 1].real) / 2
+            rad = mp.sqrt(((X[0, 0].real - X[1, 1].real) / 2) ** 2 + abs(X[0, 1] + mp.conj(X[1, 0])) ** 2 / 4)
+            if x <= 0:
+                chain = 0
+            elif x >= 4 * t:
+                chain = m
+            else:
+                chain = int(mp.ceil((m + 1) * 2 * mp.asin(mp.sqrt(x / (4 * t))) / mp.pi)) - 1
+            return chain + int(mid + rad < 0) + int(mid - rad < 0)
+
+    return count
+
+
 class TestAssembly:
     POINTS = [
         ("haar", haar_point(np.random.default_rng(11), L0=1.0)),
@@ -228,25 +281,17 @@ class TestAssembly:
     @pytest.mark.parametrize("n_points", [64, 40000])
     @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
     def test_matches_lil_build(self, name, p, n_points):
-        H, _ = oracle._shift_invert(p, G1, n_points, oracle._default_shift(p, G1, n_points))
-        ref = _lil_matrix(p, G1, n_points)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
-        expected = ref @ v
-        assert np.max(np.abs(H.matvec(v) - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-    @pytest.mark.parametrize("n_points", [64, 40000])
-    @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
-    def test_solve_backward_error(self, name, p, n_points):
-        sigma = oracle._default_shift(p, G1, n_points)
-        _, solve = oracle._shift_invert(p, G1, n_points, sigma)
-        A = _lil_matrix(p, G1, n_points) - sigma * sp.identity(n_points, format="csc")
-        rng = np.random.default_rng(5)
-        b = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
-        x = solve.matvec(b)
-        norm_a = np.max(np.asarray(abs(A).sum(axis=1)))
-        residual = np.max(np.abs(A @ x - b))
-        assert residual <= 1e-14 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+        # the wall rows (0, N-1) couple to themselves and to the chain's ends (1, N-2) only
+        h_bb, gamma = oracle._wall_blocks(p, G1, n_points)
+        _, t = oracle._grid(G1, n_points)
+        walls, ends = [0, n_points - 1], [1, n_points - 2]
+        rows = _lil_matrix(p, G1, n_points)[walls].toarray()
+        ref_bb, ref_bi = rows[:, walls], rows[:, ends]
+        assert np.max(np.abs(h_bb - ref_bb)) <= 1e-14 * np.max(np.abs(ref_bb))
+        # Gamma H_BI is the chain's -t, so G H is Hermitian across the wall rows and the interior
+        assert np.max(np.abs(gamma @ ref_bi + t * np.eye(2))) <= 1e-14 * t
+        rows[:, walls + ends] = 0.0
+        assert not rows.any()
 
 
 class TestWeightedSelfAdjoint:
@@ -283,3 +328,32 @@ class TestWeightedSelfAdjoint:
     def test_levels_are_real(self, name, p):
         vals = np.linalg.eigvals(_lil_matrix(p, G1, 64).toarray())
         assert np.max(np.abs(vals.imag)) <= 1e-14 * np.max(np.abs(vals))
+
+
+class TestLevelCount:
+    POINTS = TestWeightedSelfAdjoint.POINTS
+
+    @pytest.mark.parametrize("name, p", POINTS, ids=[c[0] for c in POINTS])
+    def test_matches_dense_count(self, name, p):
+        n_points = 64
+        levels = np.sort(np.linalg.eigvals(_lil_matrix(p, G1, n_points).toarray()).real)
+        _, t = oracle._grid(G1, n_points)
+        m = n_points - 2
+        # negative energies, the midpoints of the gaps that are not a double level's rounding,
+        # and the chain's Dirichlet energies, where its corner Green's function has its poles
+        gaps = np.diff(levels) > 1e-8 * np.abs(levels[1:])
+        x = np.concatenate([
+            min(levels[0], 0.0) - G1.energy_scale * np.array([1e3, 10.0, 1.0, 1e-3]),
+            0.5 * (levels[1:] + levels[:-1])[gaps],
+            4.0 * t * np.sin(np.arange(1, m + 1) * math.pi / (2 * (m + 1))) ** 2,
+        ])
+        expected = np.searchsorted(levels, x)
+        assert np.array_equal(oracle._level_count(p, G1, n_points)(x), expected)
+
+    def test_unresolved_attractive_wall_is_refused(self):
+        # Robin lengths +-0.0557 against h = 1/17 = 0.0588: Gamma has a negative eigenvalue there,
+        # so G is not definite and no count holds (an eigensolver returns a level at -715)
+        p = make_u2(0.0, cmath.exp(3.0303007518796994j), 0j, 1.0)
+        with pytest.raises(ConstraintError, match=r"h = 0\.0588.*L = 0\.0557"):
+            fd_spectrum(p, G1, FdConfig(n_points=16), 4)
+        assert fd_spectrum(p, G1, FdConfig(n_points=64), 4)[0] < 0.0
