@@ -58,10 +58,9 @@ for name, p in cases:
 print("Winding weights on the twisted circle carry phases e^{-i theta n}:")
 theta = 1.0
 p = make_u2(np.pi / 2, 0.0, complex(-np.sin(theta), -np.cos(theta)))
-terms = build_image_terms(p, g, 3)
-for t in terms.terms:
-    if t.kind == "direct" and abs(t.shift) <= 2:
-        print(f"   winding {t.shift:+.0f}: weight {t.weight:.6f}")
+terms = build_image_terms(p, g, 2)
+for shift, weight in zip(terms.shift[~terms.mirror], terms.weight[~terms.mirror]):
+    print(f"   winding {shift:+.0f}: weight {weight:.6f}")
 sv, iv = both_kernels(p, 0.2, 0.8)
 print(f"   complex kernel at (0.2, 0.8): {sv:.12f} (images: |diff| {abs(sv - iv):.2e})")
 

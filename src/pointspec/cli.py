@@ -494,7 +494,7 @@ def _scan_row(p, scale, spec, g):
         "zero_mode": zero_mode_exists(p, g),
         "negative_count": sum(1 for lv in spec.levels if lv.sector == SECTOR_NEGATIVE),
     }
-    for i, lv in enumerate(spec.levels[:8], start=1):
+    for i, lv in enumerate(spec.levels, start=1):
         row[f"energy_{i}"] = lv.energy
     return row
 
@@ -508,7 +508,7 @@ def _cmd_scan(cfg):
         raise ConstraintError("the two sweep axes must differ")
     swept = [dict(zip(names, values)) for values in itertools.product(*(v for _, v in axes))]
     projected = [_project_point(base, s) for s in swept]
-    specs = spectra([p for p, _ in projected], g, 8)
+    specs = spectra([p for p, _ in projected], g, cfg["levels"])
     rows = [_scan_row(p, scale, spec, g) for (p, scale), spec in zip(projected, specs)]
     payload = {
         "command": "scan",
@@ -522,7 +522,7 @@ def _cmd_scan(cfg):
 
 def _cmd_oracle_check(cfg):
     p, g = _point(cfg), _geometry(cfg)
-    n_levels = min(cfg["levels"], 8)
+    n_levels = cfg["levels"]
     n_points = cfg["grid"] or 4000
     fd = oracle.fd_spectrum(p, g, oracle.FdConfig(n_points=n_points), n_levels)
     spec = spectrum(p, g, n_levels)

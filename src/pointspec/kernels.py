@@ -18,9 +18,10 @@ real kernels.
 
 Everything here is Wick rotated: real-time oscillatory sums are not
 absolutely convergent, while the Euclidean identity is equivalent term by
-term and numerically decidable.  The term lists themselves are emitted
-symbolically, so a caller who wants the real-time form can reinterpret the
-same weights and displacements.
+term and numerically decidable.  An image sum is kept as a `KernelTermList`
+record of three arrays, one entry per Gaussian: its weight w_nu, whether it
+is a mirror image, and its shift nu l.  A caller who wants the real-time
+form can reinterpret the same weights and displacements.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .spectral import SECTOR_POSITIVE, BoxGeometry
 from .u2param import INFINITE_LENGTH, U2Params, classify, separated_lengths, twist_angle
 
 __all__ = [
-    "EuclideanTime",
-    "ImageTerm",
     "KernelTermList",
     "spectral_heat_kernel",
     "spectral_levels_needed",
@@ -52,49 +51,37 @@ __all__ = [
     "tau_value",
 ]
 
-_DIRECT = "direct"
-_MIRROR = "mirror"
 #: image and level counts above this are refused as unreachable tail targets
 _MAX_TERMS = 100000
 
 
-@dataclass(frozen=True)
-class EuclideanTime:
-    """Strictly positive Euclidean (imaginary) time."""
-
-    tau: float
-
-    def __post_init__(self):
-        tau_value(self.tau)
-
-
 def tau_value(tau) -> float:
-    """Euclidean time as a positive float, from a number or an EuclideanTime."""
-    t = tau.tau if isinstance(tau, EuclideanTime) else float(tau)
+    """Euclidean (imaginary) time as a positive float."""
+    t = float(tau)
     if not t > 0.0:
         raise ConstraintError("Euclidean time must be strictly positive")
     return t
 
 
 @dataclass(frozen=True)
-class ImageTerm:
-    """One classical image: weight, family and winding shift nu * l.
+class KernelTermList:
+    """Image-sum representation of a propagator: one free Gaussian per entry.
 
-    The evaluable displacement is (b - a) + shift for the direct family and
-    (b + a) + shift for the mirror family.
+    `weight` (complex), `mirror` (bool) and `shift` (float) are 1-D arrays of
+    one length.  Entry i is the Gaussian of the displacement (b + a) + shift[i]
+    where mirror[i], and (b - a) + shift[i] otherwise, times weight[i].
     """
 
-    weight: complex
-    kind: str
-    shift: float
-
-
-@dataclass(frozen=True)
-class KernelTermList:
-    """Symbolic image-sum representation of a propagator (free Gaussians)."""
-
-    terms: tuple
+    weight: np.ndarray
+    mirror: np.ndarray
+    shift: np.ndarray
     geometry: BoxGeometry
+
+    def __post_init__(self):
+        for name, dtype in (("weight", complex), ("mirror", bool), ("shift", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if self.weight.ndim != 1 or not self.weight.shape == self.mirror.shape == self.shift.shape:
+            raise ConstraintError("weight, mirror and shift must be 1-D arrays of one length")
 
 
 def gaussian_prefactor(g: BoxGeometry, tau) -> float:
@@ -246,9 +233,9 @@ def image_heat_kernel(
     `tau` is one time or a 1-D sequence of times, and `n_images` one count
     for every time or a sequence matching `tau`; a sequence of times puts
     them on a new leading axis of the result.  One term list, built for the
-    largest count, serves every time: the weight, mirror and shift arrays
-    and the displacements are made once, and each time sums the terms
-    inside its own cut |shift| <= n_images l.
+    largest count, serves every time: the displacements are made once from
+    its arrays, and each time sums the terms inside its own cut
+    |shift| <= n_images l.
     Complex-valued in general (winding weights carry phases), Hermitian in
     the endpoints.  The neglected tail is bounded by the Gaussian weight of
     the nearest omitted displacement, with the largest weight among the
@@ -260,8 +247,7 @@ def image_heat_kernel(
     g = terms.geometry
     a, b = _check_positions(g, a, b)
     counts = _per_time(n_images, times)
-    w = np.array([tm.weight for tm in terms.terms], dtype=complex)
-    shift = np.array([tm.shift for tm in terms.terms], dtype=float)
+    w, shift = terms.weight, terms.shift
     used = []
     for t, n in zip(times, counts):
         if n < 2:
@@ -271,14 +257,11 @@ def image_heat_kernel(
             raise TailBoundError("term list is empty inside the requested image range")
         tail = _image_tail(g, t, n, float(np.max(np.abs(w[inside]))))
         if tail > tol:
-            raise TailBoundError(
-                f"n_images = {n} leaves an image tail bound {tail:.3e} above {tol}"
-            )
+            raise TailBoundError(f"n_images = {n} leaves an image tail bound {tail:.3e} above {tol}")
         used.append(inside)
     # the terms inside the largest cut, and each time's share of them
     keep = np.logical_or.reduce(used)
-    mirror = np.array([tm.kind == _MIRROR for tm in terms.terms])[keep]
-    d = np.where(mirror, (b + a)[..., None], (b - a)[..., None]) + shift[keep]
+    d = np.where(terms.mirror[keep], (b + a)[..., None], (b - a)[..., None]) + shift[keep]
     q = -g.mass * d * d
     values = []
     for t, inside in zip(times, used):
@@ -305,15 +288,14 @@ def _image_tail(g: BoxGeometry, t: float, n_images: int, weight_bound: float) ->
     return 4.0 * weight_bound * math.exp(-alpha * j * j) / max(1e-300, -math.expm1(-alpha * (2 * j + 1)))
 
 
-def image_pair_weights(c: ScaleInvariantCoefficients, theta: float, n: int):
-    """Winding weights (C_n, D_n) built from the plane-wave amplitudes.
+def image_pair_weights(c: ScaleInvariantCoefficients, theta: float, n):
+    """Winding weights (C_n, D_n) built from the plane-wave amplitudes, for an int or int array n.
 
     C_n multiplies the direct image with winding n, D_n the mirror image:
     C_n = |A+|^2 e^{-i theta n} + |A-|^2 e^{+i theta n} and
     D_n = A+ A-* e^{-i theta n} + A- A+* e^{+i theta n}.
     """
-    ep = cmath.exp(-1j * theta * n)
-    em = cmath.exp(+1j * theta * n)
+    ep, em = np.exp(-1j * theta * n), np.exp(+1j * theta * n)
     ap, am = c.a_plus, c.a_minus
     cn = abs(ap) ** 2 * ep + abs(am) ** 2 * em
     dn = ap * am.conjugate() * ep + am * ap.conjugate() * em
@@ -333,50 +315,34 @@ def build_image_terms(p: U2Params, g: BoxGeometry, n_images: int) -> KernelTermL
         doubly degenerate poles Im(beta) = -+1 the mirror weights vanish and
         the direct weights collapse to (+-1)^nu.
 
+    The terms are in the order direct then mirror at each shift, shifts
+    ascending; the poles list direct terms only.
     Everything else raises SubfamilyError: no closed image sum is available.
     """
     if n_images < 1:
         raise ConstraintError("n_images must be at least 1")
     flags = classify(p)
-    terms = []
+    nu = np.arange(-n_images, n_images + 1)
     if flags.separated:
         sl = separated_lengths(p)
-        walls = []
-        for val in (sl.l_plus, sl.l_minus):
-            if val == INFINITE_LENGTH:
-                walls.append("inf")
-            elif val == 0.0:
-                walls.append("zero")
-            else:
-                raise SubfamilyError(
-                    "separated image sums need both walls at length 0 or infinity"
-                )
-        mirror_sign = {"zero": -1.0, "inf": +1.0}[walls[0]]
-        alternating = walls[0] != walls[1]
-        for nu in range(-(n_images // 2), n_images // 2 + 1):
-            w = (-1.0) ** nu if alternating else 1.0
-            terms.append(ImageTerm(complex(w), _DIRECT, 2.0 * nu * g.l))
-            terms.append(ImageTerm(complex(mirror_sign * w), _MIRROR, 2.0 * nu * g.l))
-        return KernelTermList(tuple(terms), g)
-    if flags.scale_invariant:
-        theta = twist_angle(p)
-        b_i = p.beta.imag
-        if abs(b_i) >= 1.0 - 1e-9:
-            # degenerate poles: each level's eigenspace is the full plane-wave
-            # doublet, whose projector has no mirror part
-            base = -1.0 if b_i > 0.0 else 1.0
-            for nu in range(-n_images, n_images + 1):
-                terms.append(ImageTerm(complex(base**nu), _DIRECT, nu * g.l))
-            return KernelTermList(tuple(terms), g)
-        c = scale_invariant_coefficients(p, g, +1, 0)
-        for nu in range(-n_images, n_images + 1):
-            cn, dn = image_pair_weights(c, theta, nu)
-            terms.append(ImageTerm(g.l * cn, _DIRECT, nu * g.l))
-            terms.append(ImageTerm(-g.l * dn, _MIRROR, nu * g.l))
-        return KernelTermList(tuple(terms), g)
-    raise SubfamilyError(
-        "no closed image sum for this boundary point; use the spectral kernel"
-    )
+        if not {sl.l_plus, sl.l_minus} <= {0.0, INFINITE_LENGTH}:
+            raise SubfamilyError("separated image sums need both walls at length 0 or infinity")
+        nu = nu[abs(nu) <= n_images // 2]
+        # walls (0, 0) and (inf, inf) weigh every image 1, mixed walls (-1)^nu
+        direct = np.where((nu % 2 == 1) & (sl.l_plus != sl.l_minus), -1.0, 1.0)
+        weights, shift = (direct, (-1.0 if sl.l_plus == 0.0 else 1.0) * direct), 2.0 * nu * g.l
+    elif flags.scale_invariant and abs(p.beta.imag) >= 1.0 - 1e-9:
+        # degenerate poles: each level's eigenspace is the full plane-wave
+        # doublet, whose projector has no mirror part
+        weights, shift = (np.where(nu % 2 == 1, -1.0 if p.beta.imag > 0.0 else 1.0, 1.0),), nu * g.l
+    elif flags.scale_invariant:
+        cn, dn = image_pair_weights(scale_invariant_coefficients(p, g, +1, 0), twist_angle(p), nu)
+        weights, shift = (g.l * cn, -g.l * dn), nu * g.l
+    else:
+        raise SubfamilyError("no closed image sum for this boundary point; use the spectral kernel")
+    k = len(weights)  # terms per shift: direct, then mirror where there is one
+    return KernelTermList(np.stack(weights, axis=-1).ravel(), np.tile([False, True][:k], len(shift)),
+                          np.repeat(shift, k), g)
 
 
 # ---------------------------------------------------------------------------

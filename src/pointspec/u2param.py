@@ -193,12 +193,23 @@ def direction_lengths(p: U2Params) -> tuple[float, float]:
 
     U has eigenvalues exp(i theta+-), theta+- = xi +- arccos(Re alpha).  On
     the boundary data along an eigenvector the condition reads
-    Psi + L Psi' = 0 with L = L0 cot(theta / 2), snapped to 0 and to
-    INFINITE_LENGTH as in separated_lengths.  A direction with 0 < L < inf
-    is attractive; no other direction binds a state.
+    Psi + L Psi' = 0 with L = L0 cot(theta / 2).  With s = sin xi, sigma =
+    sqrt(1 - Re alpha^2), c1 = cos xi - Re alpha and c2 = cos xi + Re alpha,
+    and since (s - sigma)(s + sigma) = -c1 c2, these are the closed forms
+    L+ = L0 c2 / (s + sigma) and L- = -L0 (s + sigma) / c1.  They read c1
+    and c2 as spectral's level conditions do, with a |c2| (|c1|) up to 1e-12
+    taken as 0, an exact Dirichlet direction L+ = 0 (Neumann direction
+    L- = INFINITE_LENGTH), so the lengths belong to the point spectral
+    solves; near a wall an angle through arccos loses those digits.  A
+    direction with 0 < L < inf is attractive; no other direction binds a
+    state.
     """
-    phi = math.acos(min(1.0, max(-1.0, p.alpha.real)))
-    return (_cot_length(0.5 * (p.xi + phi), p.L0), _cot_length(0.5 * (p.xi - phi), p.L0))
+    a_r = p.alpha.real
+    s_sigma = math.sin(p.xi) + math.sqrt(max(0.0, (1.0 - a_r) * (1.0 + a_r)))
+    c1, c2 = (0.0 if abs(v) <= 1e-12 else v for v in (math.cos(p.xi) - a_r, math.cos(p.xi) + a_r))
+    if s_sigma == 0.0:  # xi = 0 and Re alpha = +-1: U = +-I, whose two directions are one wall
+        return (0.0, 0.0) if c2 == 0.0 else (INFINITE_LENGTH, INFINITE_LENGTH)
+    return (0.0 if c2 == 0.0 else p.L0 * c2 / s_sigma, INFINITE_LENGTH if c1 == 0.0 else -p.L0 * s_sigma / c1)
 
 
 def twist_angle(p: U2Params, tol: float = CLASSIFY_TOL) -> float:

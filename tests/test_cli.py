@@ -44,6 +44,12 @@ DIRICHLET_ARGS = [
 ]
 
 
+HAAR_ARGS = [
+    "--xi=0.4039152044902676", "--alpha-re=0.7070850316982114", "--alpha-im=0.6368696519031734",
+    "--beta-re=-0.26536580127512216", "--beta-im=-0.15494772004351248",
+]
+
+
 class TestSpectrumCommand:
     def test_dirichlet_json(self, tmp_path):
         code, text = run(tmp_path, "spectrum", *DIRICHLET_ARGS, "--levels", "3")
@@ -420,6 +426,17 @@ class TestScanCommand:
         assert code == 0
         assert len(text.strip().split("\n")) == 5
 
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_levels_sets_the_energy_columns(self, tmp_path, n):
+        code, text = run(tmp_path, "scan", *HAAR_ARGS, "--sweep", "xi:0.15:0.65:3", "--levels", str(n))
+        assert code == 0
+        g = BoxGeometry(l=1.0)
+        for row in json.loads(text)["rows"]:
+            assert [key for key in row if key.startswith("energy_")] == [f"energy_{i}" for i in range(1, n + 1)]
+            p = make_u2(row["xi"], complex(row["alpha_re"], row["alpha_im"]),
+                        complex(row["beta_re"], row["beta_im"]), row["L0"])
+            assert [row[f"energy_{i}"] for i in range(1, n + 1)] == spectrum(p, g, n).energies()
+
 
 class TestOracleCheckCommand:
     def test_agreement(self, tmp_path):
@@ -456,6 +473,14 @@ class TestOracleCheckCommand:
         doc = json.loads(text)
         assert all(r["pass"] for r in doc["levels"])
         assert doc["levels"][0]["exact_energy"] == pytest.approx(-2.0 / 3.0, rel=1e-6)
+
+    @pytest.mark.parametrize("point", [HAAR_ARGS, ["--xi", repr(math.pi / 2), "--alpha-re", "0", "--beta-im", "1"]],
+                             ids=["haar", "plus-pole"])
+    def test_levels_sets_the_row_count(self, tmp_path, point):
+        code, text = run(tmp_path, "oracle-check", *point, "--levels", "12", "--grid", "4000")
+        assert code == 0
+        rows = json.loads(text)["levels"]
+        assert len(rows) == 12 and all(r["pass"] for r in rows)
 
     def test_repeated_runs_print_the_same(self, capsys):
         argv = [
@@ -494,12 +519,6 @@ class TestNonFiniteInputs:
     )
     def test_refused_with_exit_2(self, tmp_path, argv):
         assert run(tmp_path, *argv) == (2, "")
-
-
-HAAR_ARGS = [
-    "--xi=0.4039152044902676", "--alpha-re=0.7070850316982114", "--alpha-im=0.6368696519031734",
-    "--beta-re=-0.26536580127512216", "--beta-im=-0.15494772004351248",
-]
 
 
 class TestOutOfRangeInputs:

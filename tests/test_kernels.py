@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from scipy.integrate import quad
 from pointspec import (
     BoxGeometry,
     ConstraintError,
-    EuclideanTime,
-    ImageTerm,
     KernelTermList,
     SubfamilyError,
     TailBoundError,
     build_image_terms,
+    classify,
     eigenbasis,
     gaussian_prefactor,
     halfline_image_kernel,
@@ -21,9 +21,11 @@ from pointspec import (
     images_needed,
     make_u2,
     scale_invariant_coefficients,
+    separated_lengths,
     spectral_heat_kernel,
     spectral_levels_needed,
     theta3,
+    twist_angle,
 )
 from helpers import degenerate_negative_point, scale_invariant_point
 
@@ -33,6 +35,7 @@ G1 = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
 DIRICHLET = make_u2(0.0, -1.0, 0.0)
 NEUMANN = make_u2(0.0, 1.0, 0.0)
 PERIODIC = make_u2(math.pi / 2, 0.0, -1j)  # twist 0
+PLUS_POLE = make_u2(math.pi / 2, 0.0, 1j)  # twist pi
 
 # frozen 40-digit series value
 THETA3_AT_I = 1.086434811213308014575316
@@ -144,14 +147,6 @@ class TestImageKernel:
         with pytest.raises(TailBoundError):
             image_heat_kernel(terms, 0.3, 0.4, _tau(5.0), 2)
 
-    def test_euclidean_time_wrapper(self):
-        tau = EuclideanTime(_tau(0.1))
-        n_img = images_needed(G1, tau)
-        terms = build_image_terms(DIRICHLET, G1, n_img)
-        v1 = image_heat_kernel(terms, 0.2, 0.7, tau, n_img)
-        v2 = image_heat_kernel(terms, 0.2, 0.7, tau.tau, n_img)
-        assert v1 == v2
-
 
 ARRAY_POINTS = {
     "wall-inf-0": make_u2(math.pi / 2, -1j, 0.0),
@@ -255,7 +250,7 @@ class TestArrayKernels:
             image_heat_kernel(terms, xs, xs, _tau(5.0), 2)
         with pytest.raises(TailBoundError):
             image_heat_kernel(terms, xs, xs, _tau(0.1), 1)
-        empty = KernelTermList((), G1)
+        empty = KernelTermList([], [], [], G1)
         with pytest.raises(TailBoundError):
             image_heat_kernel(empty, xs, xs, _tau(0.1), 4)
 
@@ -313,34 +308,55 @@ class TestManyTimes:
             image_heat_kernel(terms, self.XS, self.XS, [short, _tau(5.0)], [images_needed(G1, short), 2])
 
 
+def _loop_terms(p, g, n_images):
+    """(weight, mirror, shift) arrays from one term at a time, as the builder once made them."""
+    terms = []
+    if classify(p).separated:
+        sl = separated_lengths(p)
+        mirror_sign = -1.0 if sl.l_plus == 0.0 else 1.0
+        for nu in range(-(n_images // 2), n_images // 2 + 1):
+            w = (-1.0) ** nu if sl.l_plus != sl.l_minus else 1.0
+            terms += [(complex(w), False, 2.0 * nu * g.l), (complex(mirror_sign * w), True, 2.0 * nu * g.l)]
+    elif abs(p.beta.imag) >= 1.0 - 1e-9:
+        base = -1.0 if p.beta.imag > 0.0 else 1.0
+        terms = [(complex(base**nu), False, nu * g.l) for nu in range(-n_images, n_images + 1)]
+    else:
+        c, theta = scale_invariant_coefficients(p, g, +1, 0), twist_angle(p)
+        ap, am = c.a_plus, c.a_minus
+        for nu in range(-n_images, n_images + 1):
+            ep, em = cmath.exp(-1j * theta * nu), cmath.exp(+1j * theta * nu)
+            cn = abs(ap) ** 2 * ep + abs(am) ** 2 * em
+            dn = ap * am.conjugate() * ep + am * ap.conjugate() * em
+            terms += [(g.l * cn, False, nu * g.l), (-g.l * dn, True, nu * g.l)]
+    return tuple(np.array(column) for column in zip(*terms))
+
+
 class TestBuildImageTerms:
     def test_dirichlet_weights(self):
         # n_images = 4 builds |nu| <= 2 on the 2 nu l lattice
         terms = build_image_terms(DIRICHLET, G1, 4)
-        direct = {t.shift: t.weight for t in terms.terms if t.kind == "direct"}
-        mirror = {t.shift: t.weight for t in terms.terms if t.kind == "mirror"}
-        assert set(direct) == {-4.0, -2.0, 0.0, 2.0, 4.0}
-        assert all(w == 1.0 for w in direct.values())
-        assert all(w == -1.0 for w in mirror.values())
+        for mirror in (False, True):
+            assert terms.shift[terms.mirror == mirror].tolist() == [-4.0, -2.0, 0.0, 2.0, 4.0]
+        assert np.all(terms.weight[~terms.mirror] == 1.0)
+        assert np.all(terms.weight[terms.mirror] == -1.0)
 
     def test_mixed_wall_weights(self):
         # walls (inf, 0): direct (-1)^nu, mirror +(-1)^nu on the 2 nu l lattice
         p = make_u2(math.pi / 2, -1j, 0.0)
         terms = build_image_terms(p, G1, 4)
-        direct = {t.shift: t.weight for t in terms.terms if t.kind == "direct"}
-        mirror = {t.shift: t.weight for t in terms.terms if t.kind == "mirror"}
-        for nu in (-2, -1, 0, 1, 2):
-            assert direct[2.0 * nu] == (-1.0) ** nu
-            assert mirror[2.0 * nu] == +((-1.0) ** nu)
+        nu = np.arange(-2, 3)
+        for mirror in (False, True):
+            assert terms.shift[terms.mirror == mirror].tolist() == (2.0 * nu).tolist()
+            assert terms.weight[terms.mirror == mirror].tolist() == ((-1.0) ** nu).tolist()
 
     def test_antiperiodic_circle_weights(self):
         # twist pi: weights (-1)^nu on the direct family only
         p = make_u2(math.pi / 2, 0.0, 1j)
         terms = build_image_terms(p, G1, 3)
-        assert all(t.kind == "direct" for t in terms.terms)
-        for t in terms.terms:
-            nu = round(t.shift / G1.l)
-            assert t.weight == pytest.approx((-1.0) ** nu)
+        assert not terms.mirror.any()
+        nu = np.arange(-3, 4)
+        assert terms.shift.tolist() == (nu * G1.l).tolist()
+        assert terms.weight.tolist() == ((-1.0) ** nu).tolist()
 
     # the four scale-free wall pairs: (point, mirror sign, whether the weights alternate)
     WALLS = [("zero-zero", DIRICHLET, -1.0, False), ("inf-inf", NEUMANN, 1.0, False),
@@ -354,16 +370,42 @@ class TestBuildImageTerms:
         a, b = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4), indexing="ij", sparse=True)
         for n_img in (long_, long_ + 1):  # one odd count and one even
             terms = build_image_terms(p, G1, n_img)
-            assert len(terms.terms) == 2 * (2 * (n_img // 2) + 1)
+            assert len(terms.weight) == 2 * (2 * (n_img // 2) + 1)
             # every term the cut |shift| <= n_images l keeps, and the terms beyond it
-            full = KernelTermList(tuple(
-                ImageTerm(complex(sign * (-1.0) ** nu if alternating else sign), kind, 2.0 * nu * G1.l)
-                for nu in range(-n_img, n_img + 1)
-                for kind, sign in (("direct", 1.0), ("mirror", mirror_sign))
-            ), G1)
+            nu = np.repeat(np.arange(-n_img, n_img + 1), 2)
+            mirror = np.tile([False, True], 2 * n_img + 1)
+            weight = np.where(mirror, mirror_sign, 1.0) * ((-1.0) ** nu if alternating else 1.0)
+            full = KernelTermList(weight, mirror, 2.0 * nu * G1.l, G1)
             for counts in (n_img, [short, n_img]):
                 assert np.array_equal(image_heat_kernel(terms, a, b, taus, counts),
                                       image_heat_kernel(full, a, b, taus, counts))
+
+    @pytest.mark.parametrize("p", [w[1] for w in WALLS] + [PLUS_POLE, PERIODIC],
+                             ids=[w[0] for w in WALLS] + ["plus-pole", "minus-pole"])
+    def test_equal_the_one_term_loop(self, p):
+        for n_img in range(1, 41):
+            terms = build_image_terms(p, G1, n_img)
+            weight, mirror, shift = _loop_terms(p, G1, n_img)
+            assert (terms.weight.dtype, terms.mirror.dtype, terms.shift.dtype) == (complex, bool, float)
+            assert np.array_equal(terms.weight, weight)
+            assert np.array_equal(terms.mirror, mirror) and np.array_equal(terms.shift, shift)
+
+    def test_sphere_agrees_with_the_one_term_loop(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            p = scale_invariant_point(rng, beta_im_margin=1e-3)
+            for n_img in range(1, 41):
+                terms = build_image_terms(p, G1, n_img)
+                weight, mirror, shift = _loop_terms(p, G1, n_img)
+                assert np.array_equal(terms.mirror, mirror) and np.array_equal(terms.shift, shift)
+                assert np.max(np.abs(terms.weight - weight)) <= 1e-15 * np.max(np.abs(weight))
+
+    def test_record_is_validated(self):
+        terms = KernelTermList([1, 2], [0, 1], [0, 1], G1)
+        assert (terms.weight.dtype, terms.mirror.dtype, terms.shift.dtype) == (complex, bool, float)
+        for bad in (([1, 2], [0], [0, 1]), ([1], [0], [0, 1]), ([[1]], [[0]], [[0]]), (1, 0, 0)):
+            with pytest.raises(ConstraintError):
+                KernelTermList(*bad, G1)
 
     def test_generic_point_unsupported(self):
         n = math.sqrt(1.0004)
@@ -380,7 +422,7 @@ class TestBuildImageTerms:
         for _ in range(10):
             p = scale_invariant_point(RNG, beta_im_margin=0.02)
             terms = build_image_terms(p, G1, 6)
-            assert max(abs(t.weight) for t in terms.terms) <= 2.0 + 1e-12
+            assert np.max(np.abs(terms.weight)) <= 2.0 + 1e-12
 
     def test_separated_route_agrees_with_winding_route(self):
         # the intersection point alpha = i sits in both families; the
@@ -391,15 +433,10 @@ class TestBuildImageTerms:
         n_img = images_needed(G1, tau)
         terms_sep = build_image_terms(p, G1, n_img)
         c = scale_invariant_coefficients(p, G1, +1, 0)
-        theta = math.pi / 2
-        from pointspec import ImageTerm, KernelTermList
-
-        winding = []
-        for nu in range(-n_img, n_img + 1):
-            cn, dn = image_pair_weights(c, theta, nu)
-            winding.append(ImageTerm(G1.l * cn, "direct", nu * G1.l))
-            winding.append(ImageTerm(-G1.l * dn, "mirror", nu * G1.l))
-        terms_wind = KernelTermList(tuple(winding), G1)
+        nu = np.arange(-n_img, n_img + 1)
+        cn, dn = image_pair_weights(c, math.pi / 2, nu)
+        terms_wind = KernelTermList(np.concatenate([G1.l * cn, -G1.l * dn]),
+                                    np.repeat([False, True], len(nu)), np.tile(nu * G1.l, 2), G1)
         for a, b in [(0.2, 0.9), (0.0, 0.4), (0.65, 0.65)]:
             v1 = image_heat_kernel(terms_sep, a, b, tau, n_img)
             v2 = image_heat_kernel(terms_wind, a, b, tau, n_img)

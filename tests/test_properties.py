@@ -6,7 +6,18 @@ import io
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pointspec import BoxGeometry, eigenbasis, make_u2, mode_inner
+from pointspec import (
+    BoxGeometry,
+    build_image_terms,
+    eigenbasis,
+    gaussian_prefactor,
+    image_heat_kernel,
+    images_needed,
+    make_u2,
+    mode_inner,
+    spectral_heat_kernel,
+    spectral_levels_needed,
+)
 from pointspec import cli
 from helpers import eigenstate_payload, haar_point, point_args
 
@@ -31,3 +42,38 @@ def test_haar_point_modes_and_output(seed, n_levels):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     assert out.getvalue() == cli._json_text(payload) + "\n"
+
+
+# the four scale-free wall pairs: Dirichlet, Neumann and the two mixed ones
+WALLS = [make_u2(0.0, -1.0, 0.0), make_u2(0.0, 1.0, 0.0),
+         make_u2(np.pi / 2, 1j, 0.0), make_u2(np.pi / 2, -1j, 0.0)]
+
+
+def _sphere_point(b_i, phi):
+    """The scale-invariant point (xi = pi/2, Re alpha = 0) at Im beta = b_i and azimuth phi."""
+    r = np.sqrt((1.0 - b_i) * (1.0 + b_i))
+    return make_u2(np.pi / 2, complex(0.0, r * np.cos(phi)), complex(r * np.sin(phi), b_i))
+
+
+SOLVABLE = st.one_of(
+    st.sampled_from(WALLS),
+    st.builds(_sphere_point, st.floats(-1.0 + 1e-3, 1.0 - 1e-3), st.floats(0.0, 2.0 * np.pi)),
+)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(p=SOLVABLE)
+def test_solvable_kernels_agree_and_are_hermitian(p):
+    # kernel-compare's sums at its four default times on a 5x5 grid
+    taus = [th * 2.0 * G.mass * G.l**2 / G.hbar for th in cli.DEFAULT_KERNEL_TIMES]
+    a, b = np.meshgrid(np.linspace(0.0, G.l, 5), np.linspace(0.0, G.l, 5), indexing="ij", sparse=True)
+    images = [images_needed(G, tau) for tau in taus]
+    needs = [spectral_levels_needed(p, G, tau) for tau in taus]
+    s_vals = spectral_heat_kernel(eigenbasis(p, G, max(needs)), G, a, b, taus, tol=1e-9, n_levels=needs)
+    i_vals = image_heat_kernel(build_image_terms(p, G, max(images)), a, b, taus, images)
+    for tau, s, i in zip(taus, s_vals, i_vals):
+        pref = gaussian_prefactor(G, tau)
+        assert np.max(np.abs(s - i)) <= cli.KERNEL_BOUND * pref
+        # K(a, b) = conj K(b, a) on the symmetric grid
+        for K in (s, i):
+            assert np.max(np.abs(K - K.conj().T)) <= 1e-12 * pref

@@ -5,6 +5,7 @@ import pytest
 
 from pointspec import (
     INFINITE_LENGTH,
+    BoxGeometry,
     ConstraintError,
     SubfamilyError,
     classify,
@@ -14,6 +15,7 @@ from pointspec import (
     to_matrix,
     twist_angle,
 )
+from pointspec import spectral
 from helpers import haar_point, separated_point
 
 RNG = np.random.default_rng(20240811)
@@ -256,6 +258,21 @@ class TestDirectionLengths:
         assert direction_lengths(make_u2(0.0, 1.0, 0.0)) == (INFINITE_LENGTH, INFINITE_LENGTH)
         # the Im beta = +1 pole: a Neumann and a Dirichlet direction
         assert sorted(direction_lengths(make_u2(math.pi / 2, 0.0, 1j))) == [0.0, INFINITE_LENGTH]
+
+    @pytest.mark.parametrize("c2", [2e-12, 1.5e-12, 1e-9, 1e-6])
+    def test_robin_bound_holds_near_a_dirichlet_direction(self, c2):
+        # c2 = cos xi + Re alpha just above an exact Dirichlet direction, beta real: every
+        # bound state has kappa <= kappa* = lam coth(lam l / 2), lam the largest 1/L > 0, so
+        # the level count finds no state deeper than kappa*
+        g = BoxGeometry(l=1.0)
+        for xi in (0.3, 1.0):
+            a_r = c2 - math.cos(xi)
+            for L0 in (1e-3, 1.0, 1e3):
+                p = make_u2(xi, a_r, math.sqrt((1.0 - a_r) * (1.0 + a_r)), L0)
+                lam = max(1.0 / L for L in direction_lengths(p) if 0.0 < L < INFINITE_LENGTH)
+                kappa = lam / math.tanh(0.5 * lam * g.l)
+                v = np.array([kappa * g.l * (1.0 + 1e-12)])
+                assert spectral._count(spectral._NEGATIVE, v, spectral._coeffs([p], g)).tolist() == [0]
 
 
 class TestTwistAngle:
