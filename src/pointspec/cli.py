@@ -148,6 +148,7 @@ def _json_text(payload, pad: str = "", filled: bool = True):
             raise ConstraintError(f"cannot serialize {t.__name__}")
 
     write(payload, pad)
+    del write  # it refers to itself: freed now, its chunks are not left to the cycle collector
     text = "".join(chunks)
     return text % tuple(reals) if filled else _Filled(text, reals)
 
@@ -324,25 +325,22 @@ def _cmd_classify(cfg):
     return 0
 
 
-def _level_dict(lv):
-    return {
-        "sector": lv.sector,
-        "parameter": lv.parameter,
-        "energy": lv.energy,
-        "multiplicity": lv.multiplicity,
-    }
+def _level_objects(spec):
+    """The levels of a Spectrum as JSON objects, in Level's field order; the zero level's parameter is null."""
+    columns = spec.sector.tolist(), spec.parameters(), spec.energies(), spec.multiplicity.tolist()
+    return [{"sector": s, "parameter": v, "energy": e, "multiplicity": m} for s, v, e, m in zip(*columns)]
 
 
 def _cmd_spectrum(cfg):
     p, g = _point(cfg), _geometry(cfg)
     spec = spectrum(p, g, cfg["levels"])
-    levels = [_level_dict(lv) for lv in spec.levels]
+    levels = _level_objects(spec)
     payload = {
         "command": "spectrum",
         "point": _point_dict(p),
         "geometry": _geometry_dict(g),
         "zero_mode": zero_mode_exists(p, g),
-        "negative_count": sum(1 for lv in spec.levels if lv.sector == SECTOR_NEGATIVE),
+        "negative_count": np.count_nonzero(spec.sector == SECTOR_NEGATIVE),
         "levels": levels,
     }
     rows = [{"index": i, **entry} for i, entry in enumerate(levels)]
@@ -367,11 +365,11 @@ def _cmd_eigenstate(cfg):
     basis = eigenbasis(p, g, cfg["levels"])
     residuals, norms = residuals_and_norms(basis, p, g)
     offsets = basis.offsets.tolist()
-    levels = list(zip(basis.levels, offsets, offsets[1:]))
+    levels = list(zip(_level_objects(basis.levels), offsets, offsets[1:]))
     if cfg["format"] == "csv":
         modes = list(zip(basis.coeffs.tolist(), residuals.tolist(), norms.tolist()))
         _emit(None, [
-            {"index": i, **_level_dict(lv), "coeff_a": a, "coeff_b": b, "boundary_residual": r, "norm": n}
+            {"index": i, **lv, "coeff_a": a, "coeff_b": b, "boundary_residual": r, "norm": n}
             for i, (lv, lo, hi) in enumerate(levels) for (a, b), r, n in modes[lo:hi]
         ], cfg)
         return 0
@@ -379,8 +377,8 @@ def _cmd_eigenstate(cfg):
     modes = np.stack([a.real, a.imag, b.real, b.imag, residuals, norms], -1).ravel().tolist()
     # in each level's order: its parameter unless null, its energy, its modes' six reals each
     reals = [x for lv, lo, hi in levels
-             for x in (lv.parameter, lv.energy, *modes[6 * lo:6 * hi]) if x is not None]
-    text = ",\n    ".join(_level_template(lv.sector, lv.parameter is None, hi - lo) for lv, lo, hi in levels)
+             for x in (lv["parameter"], lv["energy"], *modes[6 * lo:6 * hi]) if x is not None]
+    text = ",\n    ".join(_level_template(lv["sector"], lv["parameter"] is None, hi - lo) for lv, lo, hi in levels)
     payload = {
         "command": "eigenstate",
         "point": _point_dict(p),
@@ -487,16 +485,14 @@ def _project_point(base, swept):
 
 def _scan_row(p, scale, spec, g):
     fp = spectral_fingerprint(p)
-    row = {
+    return {
         **_point_row(p),
         "rescale": scale,
         **dict(zip(("fp_xi", "fp_alpha_re", "fp_beta_im"), fp)),
         "zero_mode": zero_mode_exists(p, g),
-        "negative_count": sum(1 for lv in spec.levels if lv.sector == SECTOR_NEGATIVE),
+        "negative_count": np.count_nonzero(spec.sector == SECTOR_NEGATIVE),
+        **{f"energy_{i}": energy for i, energy in enumerate(spec.energies(), start=1)},
     }
-    for i, lv in enumerate(spec.levels, start=1):
-        row[f"energy_{i}"] = lv.energy
-    return row
 
 
 def _cmd_scan(cfg):
@@ -526,7 +522,7 @@ def _cmd_oracle_check(cfg):
     n_points = cfg["grid"] or 4000
     fd = oracle.fd_spectrum(p, g, oracle.FdConfig(n_points=n_points), n_levels)
     spec = spectrum(p, g, n_levels)
-    exact = [lv.energy for lv in spec.levels for _ in range(lv.multiplicity)][:n_levels]
+    exact = np.repeat(spec.energy, spec.multiplicity)[:n_levels].tolist()
     tol = ORACLE_TOL if cfg["tol"] is None else cfg["tol"]
     floor = tol * g.energy_scale
     rows = [{"index": i, "fd_energy": float(e_fd), "exact_energy": e_tr,

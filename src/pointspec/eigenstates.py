@@ -5,14 +5,14 @@ a negative level at decay rate kappa has A exp(kappa x) + B exp(-kappa x);
 the zero mode is A x + B.  In each case (A, B) spans the nullspace of the
 2x2 matrix obtained by inserting the ansatz into the boundary conditions,
 whose singular values certify doubly degenerate levels (nullspace rank 2)
-independently of the root finder.  The levels of a sector are solved
-together: singular values and null vectors of their (n, 2, 2) matrices in
-closed form, with Gram-Schmidt, norms, phases and residuals done as array
-expressions.  `eigenbasis` is the one path from a level to its modes: it
-keeps them as arrays in an `Eigenbasis` record, whose level i is read as
-`basis[i]`, a (Level, modes) pair with the modes built as `Mode` objects.
-A degenerate level's pair starts from the unit vectors, so its first mode
-has coeff_b = 0.
+independently of the root finder.  All listed levels are solved in one
+pass, whatever their sectors: singular values and null vectors of their
+(n, 2, 2) matrices in closed form, with Gram-Schmidt, norms, phases and
+residuals done as array expressions.  `eigenbasis` is the one path from a
+level to its modes: it keeps them as arrays in an `Eigenbasis` record,
+whose level i is read as `basis[i]`, a (Level, modes) pair with the modes
+built as `Mode` objects.  A degenerate level's pair starts from the unit
+vectors, so its first mode has coeff_b = 0.
 
 All L2 inner products on [0, l] are evaluated from closed-form
 antiderivatives; numerical quadrature is used only as a cross-check in the
@@ -40,6 +40,7 @@ from .spectral import (
     SECTOR_POSITIVE,
     SECTOR_ZERO,
     BoxGeometry,
+    Spectrum,
     spectrum,
 )
 from .u2param import U2Params, classify, to_matrix, twist_angle
@@ -99,15 +100,15 @@ class Mode:
 class Eigenbasis:
     """Levels with all of their orthonormal modes, the modes kept as arrays.
 
-    Level i's modes are rows offsets[i]:offsets[i + 1] of power and rate,
-    each row's basis as `_basis` gives it, and of coeffs, its (coeff_a,
-    coeff_b).  len, iteration and indexing read the record as a tuple of
-    (Level, modes) pairs, each level's modes built as a tuple of `Mode`
-    objects; a slice is the record of those levels, its rows taken from
-    the arrays.
+    levels is the levels' `Spectrum`.  Level i's modes are rows
+    offsets[i]:offsets[i + 1] of power and rate, each row's basis as
+    `_basis` gives it, and of coeffs, its (coeff_a, coeff_b).  len,
+    iteration and indexing read the record as a tuple of (Level, modes)
+    pairs, each level's modes built as a tuple of `Mode` objects; a slice is
+    the record of those levels, its rows taken from the arrays.
     """
 
-    levels: tuple
+    levels: Spectrum
     power: np.ndarray
     rate: np.ndarray
     coeffs: np.ndarray
@@ -155,15 +156,15 @@ _SERIES = np.array([[1.0 / (math.factorial(j) * (n + j + 1)) for j in range(_SER
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _basis(sector: str, parameter):
+def _basis(sector, parameter):
     """(power, rate): coeff_a's basis function is x**power exp(rate x), coeff_b's exp(-rate x).
 
     That is exp(+-ikx) on a positive level, exp(+-kappa x) on a negative one,
-    and x and 1 on the zero level.  The parameter may be an array of levels.
+    and x and 1 on the zero level, whose parameter is not read.  sector and
+    parameter are arrays of levels, or one sector for an array of its levels.
     """
-    if sector == SECTOR_ZERO:
-        return 1, 0.0
-    return 0, (1j * parameter if sector == SECTOR_POSITIVE else parameter)
+    zero = sector == SECTOR_ZERO
+    return np.where(zero, 1, 0), np.where(zero, 0.0, np.where(sector == SECTOR_POSITIVE, 1j, 1.0) * parameter)
 
 
 def _values(power, rate, a, b, x):
@@ -266,9 +267,8 @@ def _batch(modes):
     """The batch triple of an `Eigenbasis` record, as it holds it, or of a sequence of Mode objects."""
     if isinstance(modes, Eigenbasis):
         return modes.power, modes.rate, modes.coeffs
-    power, rate = np.array([_basis(m.sector, m.parameter) for m in modes], dtype=complex).reshape(-1, 2).T
-    coeffs = np.array([(m.coeff_a, m.coeff_b) for m in modes], dtype=complex).reshape(-1, 2)
-    return power.real.astype(int), rate, coeffs
+    power, rate = _basis(np.array([m.sector for m in modes]), np.array([m.parameter for m in modes], dtype=float))
+    return power, rate, np.array([(m.coeff_a, m.coeff_b) for m in modes], dtype=complex).reshape(-1, 2)
 
 
 def _nullspace2(m):
@@ -304,8 +304,8 @@ _UNIT = np.eye(2)
 
 
 @_quiet
-def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> tuple:
-    """Orthonormal eigenfunctions of every listed level of one sector, solved together.
+def _modes(p: U2Params, g: BoxGeometry, spec: Spectrum) -> tuple:
+    """Orthonormal eigenfunctions of every level of spec, solved together.
 
     The coefficient pairs span the nullspace of each level's 2x2 boundary
     matrix M = (U - I) Psi + i L0 (U + I) Psi', from its singular values in
@@ -320,9 +320,8 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> tuple
     modes on adjacent rows in level order, and each level's rank; raises
     RootNotFoundError when a level has rank 0.
     """
-    n = len(parameters)
-    k = np.array([0.0 if v is None else v for v in parameters], dtype=float)
-    power, rate = (np.broadcast_to(v, (n,)) for v in _basis(sector, k))
+    n = len(spec)
+    power, rate = _basis(spec.sector, spec.parameter)
     psi, dpsi = _ends(power[:, None], rate[:, None], *_UNIT, g.l)
     # level i's matrix M takes (A, B) to its boundary residual; column j is basis
     # function j.  U - I and i L0 (U + I) ride along for their largest singular values
@@ -335,7 +334,7 @@ def _sector_modes(p: U2Params, g: BoxGeometry, sector: str, parameters) -> tuple
     if not rank.all():
         i = int(np.argmin(rank))
         raise RootNotFoundError(
-            f"{sector} parameter {parameters[i]!r} is not a root of the level condition "
+            f"{spec.sector[i]} parameter {spec.parameters()[i]!r} is not a root of the level condition "
             f"(smallest singular value {s_min[i]:.3e} above tolerance {thresh[i]:.3e})"
         )
     # one row per mode; Gram-Schmidt in L2 on the rank-2 levels, then one normalization for all
@@ -381,24 +380,18 @@ def eigenbasis(p: U2Params, g: BoxGeometry, n_levels: int) -> Eigenbasis:
     """The n_levels lowest levels, each with its orthonormal eigenfunctions.
 
     Returns an `Eigenbasis` record, read as a tuple of (Level, modes) pairs
-    in energy order; a degenerate level carries all of its modes.  The
-    levels of each sector are solved together, deepest sector first.
-    Raises RootNotFoundError when a level's nullspace is empty, and
-    ContradictionError when its rank disagrees with its multiplicity.
+    in energy order; a degenerate level carries all of its modes.  All
+    levels are solved in one pass.  Raises RootNotFoundError when a level's
+    nullspace is empty, and ContradictionError when its rank disagrees with
+    its multiplicity.
     """
-    levels = spectrum(p, g, n_levels).levels
-    # levels come in energy order, so each sector's levels are adjacent and in this order
-    power, rate, coeffs, rank = map(np.concatenate, zip(*[
-        _sector_modes(p, g, sector, parameters) for sector in (SECTOR_NEGATIVE, SECTOR_ZERO, SECTOR_POSITIVE)
-        if (parameters := [lv.parameter for lv in levels if lv.sector == sector])
-    ]))
-    for lv, found in zip(levels, rank.tolist()):
-        if found != lv.multiplicity:
-            raise ContradictionError(
-                "nullspace rank disagrees with the root multiplicity "
-                f"at {lv.sector} parameter {lv.parameter!r}"
-            )
-    return Eigenbasis(levels, power, rate.astype(complex), coeffs, np.cumsum([0, *rank]))
+    spec = spectrum(p, g, n_levels)
+    power, rate, coeffs, rank = _modes(p, g, spec)
+    if np.any(wrong := rank != spec.multiplicity):
+        i = int(np.argmax(wrong))
+        raise ContradictionError("nullspace rank disagrees with the root multiplicity "
+                                 f"at {spec.sector[i]} parameter {spec.parameters()[i]!r}")
+    return Eigenbasis(spec, power, rate, coeffs, np.cumsum([0, *rank]))
 
 
 def scale_invariant_coefficients(

@@ -175,14 +175,14 @@ def spectral_heat_kernel(
     sizes = []
     for t, n in zip(times, counts):
         levels = basis.levels[:n]
-        k_top = max((lv.parameter for lv in levels if lv.sector == SECTOR_POSITIVE), default=0.0)
+        k_top = levels.parameter[levels.sector == SECTOR_POSITIVE].max(initial=0.0)
         c = g.hbar * t / (2.0 * g.mass)
         if k_top <= 0.0 or 8.0 * math.erfc(k_top * math.sqrt(c)) > tol:
             raise TailBoundError(
                 f"a basis of {len(levels)} levels leaves a spectral tail above {tol}"
             )
         sizes.append(basis.offsets[len(levels)])
-    energy = -np.repeat([lv.energy for lv in basis.levels], np.diff(basis.offsets))
+    energy = -np.repeat(basis.levels.energy, np.diff(basis.offsets))
     # modes on a trailing axis, summed elementwise: a BLAS contraction spent
     # milliseconds per call waking OpenBLAS threads (2 cores), more than the sum
     psi_b, psi_a = mode_values(basis, b)[0], np.conj(mode_values(basis, a)[0])

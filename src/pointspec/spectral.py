@@ -164,14 +164,40 @@ class Level:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Energy-ordered list of levels."""
+    """Energy-ordered levels, kept as arrays: level i is sector[i], parameter[i], energy[i], multiplicity[i].
 
-    levels: tuple
+    parameter is NaN at the zero level.  len and indexing read the record
+    as a tuple of `Level` values, built on request; a slice is the record
+    of those levels, its arrays sliced.
+    """
+
+    sector: np.ndarray
+    parameter: np.ndarray
+    energy: np.ndarray
+    multiplicity: np.ndarray
+
+    def __len__(self):
+        return len(self.energy)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Spectrum(self.sector[i], self.parameter[i], self.energy[i], self.multiplicity[i])
+        i = range(len(self))[i]  # an IndexError past the end also ends iteration
+        return self[i:i + 1].levels[0]
+
+    @property
+    def levels(self) -> tuple:
+        """The levels as `Level` values."""
+        return tuple(map(Level, self.sector.tolist(), self.parameters(), self.energies(), self.multiplicity.tolist()))
+
+    def parameters(self) -> list:
+        """The parameters as floats, None at the zero level."""
+        return [None if s == SECTOR_ZERO else v for s, v in zip(self.sector.tolist(), self.parameter.tolist())]
 
     def energies(self) -> list:
-        return [lv.energy for lv in self.levels]
+        return self.energy.tolist()
 
 
 def _fingerprint_coeffs(p: U2Params):
@@ -454,7 +480,7 @@ def _solve(sector, lo, hi, klo, khi, j, P):
 
 
 def _states(sector, x, C, P):
-    """[(root, multiplicity)] of each point's levels between its breakpoints x[i] (counts C[i]).
+    """(point, root, multiplicity) of each point's levels between its breakpoints x[i] (counts C[i]), in order.
 
     Intervals of odd k straddle the Dirichlet energy u = (k + 1) pi / 2 (the
     positive sector has them), and a step of the count there is a level at
@@ -468,13 +494,11 @@ def _states(sector, x, C, P):
     p, k = pt[cell], k[cell]
     root[cell], mult[cell] = _solve(sector, x[p, k], x[p, k + 1], C[p, k], C[p, k + 1], C[p, k] + rank[cell], P[:, p])
     keep = (rank == 0) | (cell & (mult == 1))
-    pairs = list(zip(root[keep].tolist(), mult[keep].tolist()))
-    cuts = np.searchsorted(pt[keep], np.arange(1, len(C))).tolist()
-    return [pairs[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(pairs)])]
+    return pt[keep], root[keep], mult[keep]
 
 
 def _positive_states(P, K):
-    """(u, multiplicity) of the levels of each point's K[i] lowest states above _FLOOR.
+    """(point, u, multiplicity) of the levels of each point's K[i] lowest states above _FLOOR.
 
     The count is read beside every Dirichlet energy up to the one past the
     K-th state.  Whole intervals are taken, so a few more states may come
@@ -509,21 +533,19 @@ def _negative_ceilings(P):
     raise ContradictionError("negative-level window failed to close")
 
 
-def _negative_roots(P, l):
-    """(kappa, multiplicity) of every negative level of each point within its window.
+def _negative_roots(P):
+    """(point, v, multiplicity) of every negative level of each point within its window.
 
     A point whose count at the window's lower end _FLOOR is 0 has no bound
     state, and its window is not searched.
     """
-    roots = [[] for _ in range(P.shape[1])]
     bound = np.flatnonzero(_count(_NEGATIVE, _FLOOR, P))
-    if len(bound):
-        Q = P[:, bound]
-        x = np.stack([np.full(len(bound), _FLOOR), _negative_ceilings(Q)], axis=1)
-        C = _count(_NEGATIVE, x, Q[:, :, None]).astype(int)
-        for i, r in zip(bound.tolist(), _states(_NEGATIVE, x, C, Q)):
-            roots[i] = [(v / l, m) for v, m in r]
-    return roots
+    if not len(bound):
+        return bound, np.empty(0), bound
+    Q = P[:, bound]
+    x = np.stack([np.full(len(bound), _FLOOR), _negative_ceilings(Q)], axis=1)
+    pt, v, mult = _states(_NEGATIVE, x, _count(_NEGATIVE, x, Q[:, :, None]).astype(int), Q)
+    return bound[pt], v, mult
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +564,8 @@ def find_positive_roots(p: U2Params, g: BoxGeometry, k_max: float):
     P = _coeffs((p,), g)
     u_max = float(k_max) * g.l
     lo, hi = _count(_POSITIVE, np.array([_FLOOR, u_max]) / math.pi, P[:, 0])
-    roots = _positive_states(P, np.array([max(0, int(hi - lo))]))[0]
-    return [(u / g.l, m) for u, m in roots if u <= u_max]
+    _, u, mult = _positive_states(P, np.array([max(0, int(hi - lo))]))
+    return [(x / g.l, m) for x, m in zip(u.tolist(), mult.tolist()) if x <= u_max]
 
 
 def negative_search_ceiling(p: U2Params, g: BoxGeometry):
@@ -562,7 +584,8 @@ def find_negative_roots(p: U2Params, g: BoxGeometry):
     At most two: they are counted from the boundary pencil, whose
     eigenvalues bound them.
     """
-    return _negative_roots(_coeffs((p,), g), g.l)[0]
+    _, v, mult = _negative_roots(_coeffs((p,), g))
+    return [(x / g.l, m) for x, m in zip(v.tolist(), mult.tolist())]
 
 
 def spectral_fingerprint(p: U2Params):
@@ -570,60 +593,59 @@ def spectral_fingerprint(p: U2Params):
     return (p.xi, p.alpha.real, p.beta.imag)
 
 
-def _check_energy(esc, k):
-    """Refuse a level at momentum (or decay rate) k whose energy esc k^2 is not a float."""
-    if not esc * k * k < math.inf:
-        raise ConstraintError(f"the level at momentum {k:.3g} has an energy outside the float range")
-
-
 def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     """`spectrum(p, g, n_levels)` of every point, solved as one batch.
 
     The level counts and root refinements of all points run in shared array
-    passes; each point's result is the same as when it is alone.  A level
-    whose energy is outside the float range is a ConstraintError, as is an
-    L0 / l outside [1e-140, 1e100].
+    passes, and each point's `Spectrum` is a slice of one set of arrays; it
+    is the same as when the point is alone.  A level whose energy is outside
+    the float range is a ConstraintError, as is an L0 / l outside [1e-140, 1e100].
     """
     if n_levels < 1:
         raise ConstraintError("n_levels must be at least 1")
     points = list(points)
     if not points:
         return []
-    P = _coeffs(points, g)
-    esc = g.hbar**2 / (2.0 * g.mass)
+    P, n = _coeffs(points, g), len(points)
     # the states between v and u = _ZERO_SHADOW_U, below and above zero energy
     near = _count(_POSITIVE, _ZERO_SHADOW_U / math.pi, P) + _count(_NEGATIVE, _ZERO_SHADOW_U, P)
-    n_zero = [int(n) if zero_mode_exists(p, g) else 0 for p, n in zip(points, near.tolist())]
-    levels, n_pos = [], []
-    for zero, neg in zip(n_zero, _negative_roots(P, g.l)):
-        neg = [(kappa, mult) for kappa, mult in neg if not zero or kappa * g.l >= _ZERO_SHADOW_U]
-        _check_energy(esc, max(neg, default=(0.0,))[0])
-        lv = [Level(SECTOR_NEGATIVE, kappa, -esc * kappa**2, mult)
-              for kappa, mult in sorted(neg, reverse=True)]
-        if zero:
-            lv.append(Level(SECTOR_ZERO, None, 0.0, zero))
-        levels.append(lv)
-        n_pos.append(max(0, n_levels - len(lv)))
-
+    n_zero = np.where([zero_mode_exists(p, g) for p in points], near, 0).astype(int)
+    # every level as (sector, point, x, multiplicity), x = -kappa l, 0 or k l;
+    # with a zero level listed, states closer to zero energy are its shadow
+    pt, v, mult = _negative_roots(P)
+    neg, zero = (n_zero[pt] == 0) | (v >= _ZERO_SHADOW_U), np.flatnonzero(n_zero)
+    parts = [(SECTOR_NEGATIVE, pt[neg], -v[neg], mult[neg]), (SECTOR_ZERO, zero, np.zeros(len(zero)), n_zero[zero])]
+    want = np.maximum(0, n_levels - np.bincount(pt[neg], minlength=n) - (n_zero > 0))
     # n + 2 states hold n levels unless doubles merged some; 2 n + 2 always do
-    want, pos = np.array(n_pos), [[] for _ in points]
-    todo = np.flatnonzero(want > 0)
+    todo = want > 0
     for K in (want + 2, 2 * want + 2):
-        if not len(todo):
+        if not todo.any():
             break
-        for i, roots in zip(todo, _positive_states(P[:, todo], K[todo])):
-            pos[i] = [(u / g.l, m) for u, m in roots if not n_zero[i] or u >= _ZERO_SHADOW_U]
-        todo = np.array([i for i in todo if len(pos[i]) < want[i]], dtype=int)
-    if len(todo):
+        pt, u, mult = _positive_states(P, np.where(todo, K, 0))
+        keep = (n_zero[pt] == 0) | (u >= _ZERO_SHADOW_U)
+        full = np.bincount(pt[keep], minlength=n) >= want
+        keep &= full[pt]
+        parts.append((SECTOR_POSITIVE, pt[keep], u[keep], mult[keep]))
+        todo &= ~full
+    if todo.any():
         raise ContradictionError("positive-level search failed to fill the request")
 
-    out = []
-    for lv, roots, n in zip(levels, pos, n_pos):
-        _check_energy(esc, roots[n - 1][0] if n else 0.0)
-        lv += [Level(SECTOR_POSITIVE, k, esc * k**2, mult) for k, mult in roots[:n]]
-        lv.sort(key=lambda level: level.energy)
-        out.append(Spectrum(levels=tuple(lv[:n_levels])))
-    return out
+    names, pt, x, mult = zip(*parts)
+    sector = np.repeat(names, [len(i) for i in pt])
+    pt, x, mult = map(np.concatenate, (pt, x, mult))
+    # each point's n_levels lowest levels, in energy order
+    order = np.lexsort((x, pt))
+    order = order[np.arange(len(order)) - np.searchsorted(pt[order], pt[order]) < n_levels]
+    pt, x, mult, sector = pt[order], x[order], mult[order], sector[order]
+    k, esc = np.abs(x) / g.l, g.hbar**2 / (2.0 * g.mass)
+    with np.errstate(over="ignore"):
+        energy = np.sign(x) * esc * np.float_power(k, 2.0)
+    bad = k[~(np.abs(energy) < math.inf)]
+    if len(bad):
+        raise ConstraintError(f"the level at momentum {bad[0]:.3g} has an energy outside the float range")
+    parameter = np.where(sector == SECTOR_ZERO, np.nan, k)
+    cuts = np.searchsorted(pt, np.arange(n + 1)).tolist()
+    return [Spectrum(sector[a:b], parameter[a:b], energy[a:b], mult[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def spectrum(p: U2Params, g: BoxGeometry, n_levels: int) -> Spectrum:

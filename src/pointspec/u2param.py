@@ -159,33 +159,21 @@ def classify(p: U2Params, tol: float = CLASSIFY_TOL) -> SubfamilyFlags:
     )
 
 
-def _cot_length(phi: float, L0: float) -> float:
-    """L0 * cot(phi) with exact snapping to 0 and to INFINITE_LENGTH."""
-    s, c = math.sin(phi), math.cos(phi)
-    if abs(s) < 1e-12:
-        return INFINITE_LENGTH
-    if abs(c) < 1e-12:
-        return 0.0
-    return L0 * c / s
-
-
 def separated_lengths(p: U2Params, tol: float = CLASSIFY_TOL) -> SeparatedLengths:
     """Robin lengths of a separated (diagonal-U) point.
 
-    With alpha = exp(i phi), the two walls decouple into independent Robin
-    conditions with lengths L(+-) = L0 cot((xi +- phi)/2), each acting on the
-    inward derivative at its wall (see SeparatedLengths).  Raises
+    The two walls decouple into independent Robin conditions, each acting on
+    the inward derivative at its wall (see SeparatedLengths).  The walls are
+    U's eigen-directions, so their lengths are `direction_lengths` in wall
+    order: (L+, L-) where Im alpha >= 0, (L-, L+) otherwise.  Raises
     SubfamilyError when beta is not zero within `tol`.
     """
     if not classify(p, tol).separated:
         raise SubfamilyError(
             f"point is not separated: beta = {p.beta!r} is nonzero beyond {tol}"
         )
-    phi = math.atan2(p.alpha.imag, p.alpha.real) % (2.0 * math.pi)
-    return SeparatedLengths(
-        l_plus=_cot_length(0.5 * (p.xi + phi), p.L0),
-        l_minus=_cot_length(0.5 * (p.xi - phi), p.L0),
-    )
+    l_plus, l_minus = direction_lengths(p)
+    return SeparatedLengths(l_plus, l_minus) if p.alpha.imag >= 0.0 else SeparatedLengths(l_minus, l_plus)
 
 
 def direction_lengths(p: U2Params) -> tuple[float, float]:

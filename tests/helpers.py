@@ -1,11 +1,11 @@
-"""Shared samplers for randomized tests (all seeded by the caller), fixed points, and eigenstate payloads."""
+"""Shared samplers for randomized tests (all seeded by the caller), fixed points, spectra and eigenstate payloads."""
 
 import cmath
 import math
 
 import numpy as np
 
-from pointspec import eigenbasis, make_u2, residuals_and_norms
+from pointspec import Spectrum, eigenbasis, make_u2, residuals_and_norms
 
 
 def haar_point(rng, L0=None):
@@ -63,6 +63,14 @@ def degenerate_negative_point():
     xi = cmath.phase(np.linalg.det(U)) / 2.0 % math.pi
     alpha, beta = U[0] * cmath.exp(-1j * xi)
     return make_u2(xi, complex(alpha), complex(beta))
+
+
+def spectrum_of(levels):
+    """The Spectrum record of a list of Level values, the zero level's parameter NaN."""
+    return Spectrum(np.array([lv.sector for lv in levels]),
+                    np.array([lv.parameter for lv in levels], dtype=float),
+                    np.array([lv.energy for lv in levels], dtype=float),
+                    np.array([lv.multiplicity for lv in levels]))
 
 
 def eigenstate_payload(p, g, n_levels):

@@ -23,7 +23,7 @@ from pointspec import (
     spectral_heat_kernel,
     spectrum,
 )
-from pointspec import kernels
+from pointspec import kernels, spectral
 from pointspec import cli
 from pointspec.cli import DEFAULT_KERNEL_TIMES, main
 from helpers import eigenstate_payload, point_args
@@ -492,6 +492,34 @@ class TestOracleCheckCommand:
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+MINUS_POLE_ARGS = ["--xi", repr(math.pi / 2), "--alpha-re", "0", "--beta-im=-1"]
+
+
+class TestLevelFreeCommands:
+    """The commands read the Spectrum arrays: none builds a Level, and the output is the same."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", *HAAR_ARGS, "--sweep", "xi:0.15:0.65:3", "--sweep", "L0:0.5:2:3"],
+        ["eigenstate", *MINUS_POLE_ARGS, "--levels", "6"],
+        ["eigenstate", *HAAR_ARGS, "--L0=0.2", "--levels", "6"],
+        ["kernel-compare", *MINUS_POLE_ARGS, "--mass", "0.5"],
+        ["oracle-check", *HAAR_ARGS, "--levels", "6"],
+        ["spectrum", *MINUS_POLE_ARGS, "--format", "csv"],
+        ["eigenstate", *MINUS_POLE_ARGS, "--format", "csv"],
+    ], ids=["scan", "eigenstate-pole", "eigenstate-haar", "kernel-compare", "oracle-check", "spectrum-csv",
+            "eigenstate-csv"])
+    def test_no_level_is_built(self, monkeypatch, capsys, argv):
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("a command built a Level")
+
+        monkeypatch.setattr(spectral, "Level", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestNonFiniteInputs:

@@ -15,7 +15,6 @@ from pointspec import (
     Level,
     Mode,
     RootNotFoundError,
-    Spectrum,
     SubfamilyError,
     ZeroFunctionError,
     eigenbasis,
@@ -34,7 +33,7 @@ from pointspec import (
     to_matrix,
 )
 from pointspec import eigenstates
-from helpers import degenerate_negative_point, haar_point, scale_invariant_point
+from helpers import degenerate_negative_point, haar_point, scale_invariant_point, spectrum_of
 
 RNG = np.random.default_rng(20240813)
 
@@ -202,7 +201,7 @@ class TestEigenbasis:
 
     def test_rank_disagreeing_with_multiplicity_raises(self, monkeypatch):
         spec = spectrum(DIRICHLET, G1, 1)
-        doubled = Spectrum((replace(spec.levels[0], multiplicity=2),))
+        doubled = spectrum_of([replace(spec.levels[0], multiplicity=2)])
         monkeypatch.setattr(eigenstates, "spectrum", lambda p, g, n: doubled)
         with pytest.raises(ContradictionError, match="nullspace rank"):
             eigenbasis(DIRICHLET, G1, 1)
@@ -211,7 +210,7 @@ class TestEigenbasis:
                                        Level("zero", None, 0.0, 1)], ids=lambda lv: lv.sector)
     def test_non_root_raises(self, monkeypatch, level):
         # Dirichlet walls: k = 1.234 is not a momentum, and no bound or zero state exists
-        monkeypatch.setattr(eigenstates, "spectrum", lambda p, g, n: Spectrum((level,)))
+        monkeypatch.setattr(eigenstates, "spectrum", lambda p, g, n: spectrum_of([level]))
         with pytest.raises(RootNotFoundError, match=f"{level.sector} parameter .* is not a root"):
             eigenbasis(DIRICHLET, G1, 1)
 
@@ -495,7 +494,7 @@ class TestEigenbasisRecord:
         for field in ("power", "rate", "coeffs"):
             got, want = getattr(head, field), getattr(basis, field)[:basis.offsets[5]]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert head.levels == basis.levels[:5] and np.array_equal(head.offsets, basis.offsets[:6])
+        assert head.levels.levels == basis.levels[:5].levels and np.array_equal(head.offsets, basis.offsets[:6])
         assert tuple(head) == pairs[:5] and tuple(stepped) == pairs[::-2]
 
     @pytest.mark.parametrize("name, p, n", POINTS, ids=[c[0] for c in POINTS])

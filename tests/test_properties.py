@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,10 @@ from pointspec import (
     mode_inner,
     spectral_heat_kernel,
     spectral_levels_needed,
+    spectrum,
 )
 from pointspec import cli
-from helpers import eigenstate_payload, haar_point, point_args
+from helpers import eigenstate_payload, fingerprint_pair, haar_point, point_args
 
 G = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
 
@@ -77,3 +79,39 @@ def test_solvable_kernels_agree_and_are_hermitian(p):
         # K(a, b) = conj K(b, a) on the symmetric grid
         for K in (s, i):
             assert np.max(np.abs(K - K.conj().T)) <= 1e-12 * pref
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(a_r=st.floats(-0.9, 0.9), log_lam=st.floats(-3.0, 3.0), phi=st.floats(0.0, 2.0 * np.pi))
+def test_isospectral_sphere(a_r, log_lam, phi):
+    # xi = 0, Im beta = 0: the Dirichlet levels k l = n pi, exactly, over one
+    # bound state at kappa L0 = sqrt((1 - Re alpha) / (1 + Re alpha))
+    r, L0 = math.sqrt((1.0 - a_r) * (1.0 + a_r)), 10.0**log_lam * G.l
+    spec = spectrum(make_u2(0.0, complex(a_r, r * math.cos(phi)), complex(r * math.sin(phi), 0.0), L0), G, 6)
+    assert spec.sector.tolist() == ["negative"] + ["positive"] * 5
+    assert spec.multiplicity.tolist() == [1] * 6
+    assert spec.parameter[1:].tolist() == [n * math.pi / G.l for n in range(1, 6)]
+    kappa = math.sqrt((1.0 - a_r) / (1.0 + a_r)) / L0
+    assert abs(spec.parameter[0] - kappa) * G.l <= 1e-15 + 1e-12 * kappa * G.l
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_counting_bound(seed):
+    # at most two states at or below zero energy, and at every positive level
+    # the count of states exceeds the Dirichlet count floor(k l / pi) by 0 to 2
+    spec = spectrum(haar_point(np.random.default_rng(seed)), G, 16)
+    states, positive = np.cumsum(spec.multiplicity), spec.sector == "positive"
+    assert states[~positive].max(initial=0) <= 2
+    excess = states[positive] - np.floor(spec.parameter[positive] * G.l / np.pi)
+    assert excess.min() >= 0 and excess.max() <= 2
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), log_lam=st.floats(-3.0, 3.0))
+def test_fingerprint_invariance(seed, log_lam):
+    # points that share (xi, Re alpha, Im beta, L0) have bitwise-equal spectra
+    one, other = (spectrum(p, G, 8) for p in fingerprint_pair(np.random.default_rng(seed), 10.0**log_lam * G.l))
+    for field in ("sector", "parameter", "energy", "multiplicity"):
+        a, b = getattr(one, field), getattr(other, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

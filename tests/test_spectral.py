@@ -277,6 +277,40 @@ class TestSpectra:
         assert batch[1].levels[0].parameter == pytest.approx(kappa, rel=1e-12)
 
 
+class TestSpectrumRecord:
+    def test_reads_as_a_tuple_of_levels(self):
+        # the Im beta = -1 pole: a zero level under double levels
+        spec = spectrum(make_u2(math.pi / 2, 0.0, -1j), G1, 5)
+        levels = spec.levels
+        assert len(spec) == len(levels) == 5 and tuple(spec) == levels
+        assert [spec[i] for i in range(5)] == list(levels) and spec[-1] == levels[-1]
+        with pytest.raises(IndexError):
+            spec[5]
+        assert levels[0] == spectral.Level("zero", None, 0.0, 1)
+        assert math.isnan(spec.parameter[0]) and spec.parameters()[0] is None
+        assert spec.energies() == [lv.energy for lv in levels]
+        for part in (slice(2), slice(1, None), slice(None, None, -2)):
+            sliced = spec[part]
+            assert isinstance(sliced, spectral.Spectrum) and sliced.levels == levels[part]
+            for field in ("sector", "parameter", "energy", "multiplicity"):
+                assert np.array_equal(getattr(sliced, field), getattr(spec, field)[part], equal_nan=field == "parameter")
+
+    def test_energies_keep_the_bits_of_esc_k_squared(self):
+        # each energy is the Python float +-esc * k**2 of its parameter, as a
+        # Level built one at a time had it
+        g = BoxGeometry(l=1.3, hbar=1.1, mass=0.7)
+        esc = g.hbar**2 / (2.0 * g.mass)
+        rng = np.random.default_rng(26)
+        specs = spectra([haar_point(rng) for _ in range(200)], g, 64)
+        levels = [lv for spec in specs for lv in spec.levels]
+        for lv in levels:
+            if lv.sector == "zero":
+                assert lv.energy == 0.0
+            else:
+                assert lv.energy == (-esc * lv.parameter**2 if lv.sector == "negative" else esc * lv.parameter**2)
+        assert len(levels) == 200 * 64 and sum(lv.sector == "negative" for lv in levels) > 50
+
+
 class TestFingerprint:
     def test_projection(self):
         p = make_u2(0.3, 0.6 + 0.64j, 0.48j)

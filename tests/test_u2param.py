@@ -7,6 +7,7 @@ from pointspec import (
     INFINITE_LENGTH,
     BoxGeometry,
     ConstraintError,
+    SeparatedLengths,
     SubfamilyError,
     classify,
     direction_lengths,
@@ -165,6 +166,20 @@ class TestSeparatedLengths:
     def test_infinite_length_is_tagged(self):
         sl = separated_lengths(make_u2(0.0, 1.0, 0.0))
         assert sl.l_plus is INFINITE_LENGTH
+
+    @pytest.mark.parametrize("c2", [1.5e-12, 2e-12, 1e-9, 1e-6])
+    @pytest.mark.parametrize("xi", [0.3, 1.0])
+    @pytest.mark.parametrize("L0", [1e-3, 1.0, 1e3])
+    def test_direction_lengths_in_wall_order_near_a_dirichlet_wall(self, c2, xi, L0):
+        # Re alpha = c2 - cos xi puts the left wall (Im alpha > 0) or the
+        # right one (Im alpha < 0) a c2 away from Dirichlet: a Robin wall
+        # whose length is the Dirichlet direction's, bit for bit, never 0
+        a_r = c2 - math.cos(xi)
+        for sign in (1.0, -1.0):
+            p = make_u2(xi, complex(a_r, sign * math.sqrt((1.0 - a_r) * (1.0 + a_r))), 0.0, L0)
+            near, far = direction_lengths(p)
+            assert separated_lengths(p) == (SeparatedLengths(near, far) if sign > 0 else SeparatedLengths(far, near))
+            assert 0.0 < near < 1e-5 * L0 and far < 0.0
 
 
 def _bc_residuals(p, sl, g_l, coeffs):
