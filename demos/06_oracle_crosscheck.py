@@ -35,7 +35,7 @@ spec = spectrum(p, g, 5)
 exact_list = []
 for lv in spec.levels:
     exact_list.extend([lv.energy] * lv.multiplicity)
-print(f"   (bisection on the closed-form level count took {dt * 1e3:.0f} ms)")
+print(f"   (search on the closed-form level count took {dt * 1e3:.0f} ms)")
 print("   sector        exact              finite-difference   rel error")
 for lv_e, e_fd in zip(exact_list, fd):
     rel = abs(e_fd - lv_e) / max(abs(lv_e), g.energy_scale)

@@ -18,7 +18,11 @@ Wilkinson, Numer. Math. 9 (1967) 386) into nu(T_M - x), the number of j
 with 4t sin^2(j pi / 2(M+1)) < x, and nu(Gamma S(x)), where Gamma S(x) =
 Gamma H_BB - x Gamma - t^2 C(x) and t C = [[sin M theta, sin theta], [sin
 theta, sin M theta]] / sin((M+1) theta), 2 cos theta = 2 - x / t, is the
-chain's corner Green's function: O(1) per count, whatever N.
+chain's corner Green's function: O(1) per count, whatever N.  The levels
+are found by a 16-way multisection on that count, which reads it once per
+pass at 15 interior points of every bracket; their last digits lie within
+the count's noise band, a few 1e-12 to 1e-11 relative, where it is not
+monotone.
 
 The default shift sits just below the lowest level: only U's attractive
 eigen-directions bind, and their Robin lengths bound every bound state in
@@ -44,6 +48,9 @@ from .u2param import U2Params, direction_lengths, to_matrix
 
 __all__ = ["FdConfig", "fd_spectrum"]
 
+# sub-intervals per bracket and count pass: a count at 16 x levels points costs about one at levels points
+_ARITY = 16
+
 
 @dataclass(frozen=True)
 class FdConfig:
@@ -54,7 +61,8 @@ class FdConfig:
     None selects 1.1 times the closed-form depth of U's attractive directions
     on this grid, or of spectral's negative-root window where that is
     shallower, which is not certified: it can sit above the lowest level.
-    The levels are bisected on a closed-form count, with no eigensolver.
+    The levels are found by a 16-way multisection on a closed-form count,
+    with no eigensolver.
     """
 
     n_points: int
@@ -174,8 +182,9 @@ def _default_shift(p: U2Params, g: BoxGeometry, n_points: int) -> float:
 def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
     """The n_levels levels of the discretized Hamiltonian nearest the shift, ascending.
 
-    With m levels below the shift, levels m - n_levels ... m + n_levels - 1 are bisected
-    on the count together, to a few ulps: there is no eigensolver and no solver tolerance.
+    With m levels below the shift, levels m - n_levels ... m + n_levels - 1 are found together
+    by a 16-way multisection on the count, 4 bits per count pass, to within its noise band of
+    a few 1e-12 to 1e-11 relative: there is no eigensolver and no solver tolerance.
     A degenerate level appears as near-equal copies; a count that cuts one returns one.
     """
     if n_levels < 1:
@@ -195,9 +204,12 @@ def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
     lo = min(sigma, 0.0) - g.energy_scale
     while count(lo) > j[0]:
         lo *= 2.0
+    lo, rows, frac = np.full(len(j), lo), np.arange(len(j)), np.arange(1, _ARITY) / _ARITY
     while np.any(hi - lo > 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), g.energy_scale)):
-        mid = 0.5 * (lo + hi)
-        above = count(mid) > j
-        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+        x = np.column_stack([lo, lo[:, None] + (hi - lo)[:, None] * frac, hi])
+        # hi is above j and lo is not, uncounted as in bisection: keep [x_k, x_k+1], x_k+1 the first above
+        above = np.column_stack([count(x[:, 1:-1]) > j[:, None], np.ones(len(j), dtype=bool)])
+        k = np.argmax(above, axis=1)
+        lo, hi = x[rows, k], x[rows, k + 1]
     levels = 0.5 * (lo + hi)
     return np.sort(levels[np.argsort(np.abs(levels - sigma), kind="stable")[:n_levels]])

@@ -33,6 +33,10 @@ MINUS_POLE = make_u2(math.pi / 2, 0.0, -1j)
 BENCH_POINT = make_u2(0.14344562592957516, complex(-0.6688872413649128, 0.5962126183952385),
                       complex(0.4397302543359999, -0.06129988113469101), 7.036861128273138)
 BENCH_GEOMETRY = BoxGeometry(l=1.5217103872897293, hbar=1.0, mass=0.5074474440282601)
+# oracle-fd seed 1 operation 52, where the count reads 1,1,2,2,1,2,... across the level -2.8274486
+NOISY_COUNT_POINT = make_u2(2.450654701452133, complex(0.9070465146167633, 0.20263664796822436),
+                            complex(0.2672915967057388, -0.25448027733457146), 0.9930965913308977)
+NOISY_COUNT_GEOMETRY = BoxGeometry(l=1.3759687218872436, hbar=1.0, mass=0.5408308402597513)
 
 
 class TestFdConfig:
@@ -42,7 +46,7 @@ class TestFdConfig:
 
     @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
     def test_shift_must_be_finite(self, shift):
-        # a bisection bracket at a non-finite shift never closes
+        # a search bracket at a non-finite shift never closes
         with pytest.raises(ConstraintError, match="shift must be finite"):
             FdConfig(n_points=64, shift=shift)
 
@@ -137,6 +141,7 @@ class TestEigensolverAccuracy:
     # one, at Im beta = -1, whose lowest level is simple, an even count does
     TIGHT_CASES = [
         ("oracle-fd", BENCH_POINT, BENCH_GEOMETRY, 40000, 8),
+        ("noisy-count", NOISY_COUNT_POINT, NOISY_COUNT_GEOMETRY, 40000, 8),
         ("haar-bound-state", haar_point(np.random.default_rng(1), L0=1.0), G1, 4000, 8),
         ("twisted-circle", TWISTED_CIRCLE, G1, 4000, 8),
         ("dirichlet-neumann", make_u2(math.pi / 2, 1j, 0.0), G1, 4000, 8),
@@ -159,6 +164,26 @@ class TestEigensolverAccuracy:
         ref = np.sort(np.linalg.eigvals(_lil_matrix(p, g, 16).toarray()).real)[:4]
         vals = fd_spectrum(p, g, FdConfig(n_points=16), 4)
         assert np.max(np.abs(vals - ref) / np.maximum(np.abs(ref), g.energy_scale)) <= 1e-12
+
+    def test_count_budget(self, monkeypatch):
+        # each pass reads the count once for every bracket and narrows each 16-fold;
+        # halving took 57 reads at this point
+        reads = 0
+        level_count = oracle._level_count
+
+        def counting(*args):
+            count = level_count(*args)
+
+            def read(x):
+                nonlocal reads
+                reads += 1
+                return count(x)
+
+            return read
+
+        monkeypatch.setattr(oracle, "_level_count", counting)
+        fd_spectrum(BENCH_POINT, BENCH_GEOMETRY, FdConfig(n_points=40000), 8)
+        assert reads <= 20
 
     def test_repeated_calls_are_bit_identical(self):
         p = haar_point(np.random.default_rng(7), L0=1.0)
