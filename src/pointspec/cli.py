@@ -52,6 +52,12 @@ KERNEL_BOUND = 1e-8
 #: default relative tolerance of oracle-check's energy comparison
 ORACLE_TOL = 5e-3
 
+#: the most rows a scan may have, the product of its sweep counts, and the
+#: most levels it may list, rows times --levels: 10^5 rows of one level, or
+#: 10^4 rows of 100, take about 4 s and 0.9 GB
+MAX_SCAN_ROWS = 100_000
+MAX_SCAN_LEVELS = 1_000_000
+
 _SWEEPABLE = ("xi", "alpha-re", "alpha-im", "beta-re", "beta-im", "L0")
 
 _FLAG_SPECS = {
@@ -286,15 +292,16 @@ def _geometry_dict(g):
     return {"length": g.l, "hbar": g.hbar, "mass": g.mass}
 
 
+_POINT_COLUMNS = ("xi", "alpha_re", "alpha_im", "beta_re", "beta_im", "L0")
+
+
+def _point_reals(p):
+    """A point's six reals, in _POINT_COLUMNS order."""
+    return p.xi, p.alpha.real, p.alpha.imag, p.beta.real, p.beta.imag, p.L0
+
+
 def _point_row(p):
-    return {
-        "xi": p.xi,
-        "alpha_re": p.alpha.real,
-        "alpha_im": p.alpha.imag,
-        "beta_re": p.beta.real,
-        "beta_im": p.beta.imag,
-        "L0": p.L0,
-    }
+    return dict(zip(_POINT_COLUMNS, _point_reals(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +439,8 @@ def _cmd_kernel_compare(cfg):
 
 
 def _parse_sweeps(cfg):
-    axes = []
+    """The sweep axes as (name, values); a scan over MAX_SCAN_ROWS or MAX_SCAN_LEVELS is refused before any value."""
+    specs = []
     for text in cfg["sweep"]:
         parts = text.split(":")
         if len(parts) != 4:
@@ -446,14 +454,19 @@ def _parse_sweeps(cfg):
             raise ConstraintError(f"sweep spec {text!r} has bad numbers") from exc
         if count < 1:
             raise ConstraintError("sweep count must be at least 1")
-        values = [
-            start + (stop - start) * i / (count - 1) if count > 1 else start
-            for i in range(count)
-        ]
-        axes.append((name, values))
-    if not 1 <= len(axes) <= 2:
+        specs.append((name, start, stop, count))
+    if not 1 <= len(specs) <= 2:
         raise ConstraintError("scan needs one or two sweep axes")
-    return axes
+    rows = math.prod(count for *_, count in specs)
+    if rows > MAX_SCAN_ROWS:
+        raise ConstraintError(f"a scan of {rows} rows is over the limit of {MAX_SCAN_ROWS}")
+    if rows * cfg["levels"] > MAX_SCAN_LEVELS:
+        raise ConstraintError(f"a scan of {rows} rows of {cfg['levels']} levels is over the limit of "
+                              f"{MAX_SCAN_LEVELS} levels")
+    return [
+        (name, [start + (stop - start) * i / (count - 1) if count > 1 else start for i in range(count)])
+        for name, start, stop, count in specs
+    ]
 
 
 def _project_point(base, swept):
@@ -483,16 +496,23 @@ def _project_point(base, swept):
     return point, scale
 
 
-def _scan_row(p, scale, spec, g):
-    fp = spectral_fingerprint(p)
-    return {
-        **_point_row(p),
-        "rescale": scale,
-        **dict(zip(("fp_xi", "fp_alpha_re", "fp_beta_im"), fp)),
-        "zero_mode": zero_mode_exists(p, g),
-        "negative_count": np.count_nonzero(spec.sector == SECTOR_NEGATIVE),
-        **{f"energy_{i}": energy for i, energy in enumerate(spec.energies(), start=1)},
-    }
+_SCAN_REALS = (*_POINT_COLUMNS, "rescale", "fp_xi", "fp_alpha_re", "fp_beta_im")
+
+
+def _scan_row(reals, zero_mode, negative_count, energies):
+    """A scan row as a dict: the _SCAN_REALS, the two flags, then energy_1 ... energy_n."""
+    return {**dict(zip(_SCAN_REALS, reals)), "zero_mode": zero_mode, "negative_count": negative_count,
+            **{f"energy_{i}": energy for i, energy in enumerate(energies, start=1)}}
+
+
+@functools.cache
+def _row_template(zero_mode: bool, negative_count: int, n_energies: int) -> str:
+    """A scan row's JSON text in the rows list, with a %.17g placeholder per real.
+
+    The reals are the _SCAN_REALS, then the energies.
+    """
+    row = _scan_row([0.0] * len(_SCAN_REALS), zero_mode, negative_count, [0.0] * n_energies)
+    return _json_text(row, "    ", filled=False).text
 
 
 def _cmd_scan(cfg):
@@ -505,14 +525,22 @@ def _cmd_scan(cfg):
     swept = [dict(zip(names, values)) for values in itertools.product(*(v for _, v in axes))]
     projected = [_project_point(base, s) for s in swept]
     specs = spectra([p for p, _ in projected], g, cfg["levels"])
-    rows = [_scan_row(p, scale, spec, g) for (p, scale), spec in zip(projected, specs)]
+    # each row as (reals, zero_mode, negative_count, energies)
+    rows = [((*_point_reals(p), scale, *spectral_fingerprint(p)), zero_mode_exists(p, g),
+             spec.sector.tolist().count(SECTOR_NEGATIVE), spec.energies())
+            for (p, scale), spec in zip(projected, specs)]
+    if cfg["format"] == "csv":
+        _emit(None, [_scan_row(*row) for row in rows], cfg)
+        return 0
+    text = ",\n    ".join(_row_template(zero_mode, n_neg, len(energies)) for _, zero_mode, n_neg, energies in rows)
+    reals = [x for head, _, _, energies in rows for x in (*head, *energies)]
     payload = {
         "command": "scan",
         "geometry": _geometry_dict(g),
         "axes": [{"name": n, "values": list(v)} for n, v in axes],
-        "rows": rows,
+        "rows": _Filled(f"[\n    {text}\n  ]", reals),
     }
-    _emit(payload, rows, cfg)
+    _emit(payload, [], cfg)
     return 0
 
 
@@ -520,8 +548,9 @@ def _cmd_oracle_check(cfg):
     p, g = _point(cfg), _geometry(cfg)
     n_levels = cfg["levels"]
     n_points = cfg["grid"] or 4000
-    fd = oracle.fd_spectrum(p, g, oracle.FdConfig(n_points=n_points), n_levels)
+    # the exact levels first: a request over spectral's level limit is refused before the oracle's arrays
     spec = spectrum(p, g, n_levels)
+    fd = oracle.fd_spectrum(p, g, oracle.FdConfig(n_points=n_points), n_levels)
     exact = np.repeat(spec.energy, spec.multiplicity)[:n_levels].tolist()
     tol = ORACLE_TOL if cfg["tol"] is None else cfg["tol"]
     floor = tol * g.energy_scale

@@ -113,6 +113,9 @@ _VL_CLIP = 1e153
 _CHECK_RTOL = 1e-12
 
 ZERO_MODE_TOL = 1e-9
+#: the most levels `spectra` lists per point: 10^5 of them take about 0.5 s
+#: and 190 MB, and the arrays grow with the request
+MAX_LEVELS = 100_000
 
 SECTOR_NEGATIVE = "negative"
 SECTOR_ZERO = "zero"
@@ -234,12 +237,15 @@ def negative_condition(p: U2Params, g: BoxGeometry, kappa):
     return out if out.ndim else float(out)
 
 
+def _zero_condition(lam, s, c1, b_i):
+    """(Im beta + sin xi) - (l / 2 L0)(Re alpha - cos xi), as c1 = -(Re alpha - cos xi); scalars or arrays."""
+    return (b_i + s) + c1 / (2.0 * lam)
+
+
 def zero_mode_condition(p: U2Params, g: BoxGeometry) -> float:
     """Left side of the zero-mode existence condition (dimensionless)."""
     s, c1, _, b_i = _fingerprint_coeffs(p)
-    lam = p.L0 / g.l
-    # (Im beta + sin xi) - (l / 2 L0)(Re alpha - cos xi); note c1 = -(aR - cos xi)
-    return (b_i + s) + c1 / (2.0 * lam)
+    return _zero_condition(p.L0 / g.l, s, c1, b_i)
 
 
 def zero_mode_exists(p: U2Params, g: BoxGeometry) -> bool:
@@ -599,17 +605,22 @@ def spectra(points, g: BoxGeometry, n_levels: int) -> list:
     The level counts and root refinements of all points run in shared array
     passes, and each point's `Spectrum` is a slice of one set of arrays; it
     is the same as when the point is alone.  A level whose energy is outside
-    the float range is a ConstraintError, as is an L0 / l outside [1e-140, 1e100].
+    the float range is a ConstraintError, as is an L0 / l outside [1e-140, 1e100]
+    and an n_levels outside [1, MAX_LEVELS], refused before any array is built.
     """
-    if n_levels < 1:
-        raise ConstraintError("n_levels must be at least 1")
+    if not 1 <= n_levels <= MAX_LEVELS:
+        raise ConstraintError(f"n_levels must be from 1 to {MAX_LEVELS}, not {n_levels!r}")
     points = list(points)
     if not points:
         return []
     P, n = _coeffs(points, g), len(points)
-    # the states between v and u = _ZERO_SHADOW_U, below and above zero energy
-    near = _count(_POSITIVE, _ZERO_SHADOW_U / math.pi, P) + _count(_NEGATIVE, _ZERO_SHADOW_U, P)
-    n_zero = np.where([zero_mode_exists(p, g) for p in points], near, 0).astype(int)
+    # zero_mode_exists of every point, in its float operations on the columns; a
+    # flagged point's zero level holds its states between v and u = _ZERO_SHADOW_U
+    flagged = np.flatnonzero(np.abs(_zero_condition(P[0], P[1], P[2], P[4])) < ZERO_MODE_TOL)
+    n_zero = np.zeros(n, dtype=int)
+    if len(flagged):
+        Q = P[:, flagged]
+        n_zero[flagged] = _count(_POSITIVE, _ZERO_SHADOW_U / math.pi, Q) + _count(_NEGATIVE, _ZERO_SHADOW_U, Q)
     # every level as (sector, point, x, multiplicity), x = -kappa l, 0 or k l;
     # with a zero level listed, states closer to zero energy are its shadow
     pt, v, mult = _negative_roots(P)

@@ -1,11 +1,13 @@
-"""Shared samplers for randomized tests (all seeded by the caller), fixed points, spectra and eigenstate payloads."""
+"""Shared samplers for randomized tests (all seeded by the caller), fixed points, spectra and CLI payloads."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
-from pointspec import Spectrum, eigenbasis, make_u2, residuals_and_norms
+from pointspec import Spectrum, eigenbasis, make_u2, residuals_and_norms, spectra, zero_mode_exists
+from pointspec import cli
 
 
 def haar_point(rng, L0=None):
@@ -96,6 +98,40 @@ def eigenstate_payload(p, g, n_levels):
         "levels": [{**level, "modes": modes} for level, modes in levels],
     }
     rows = [{"index": i, **level, **m} for i, (level, modes) in enumerate(levels) for m in modes]
+    return payload, rows
+
+
+def scan_payload(p, g, sweeps, n_levels):
+    """The `scan` command's JSON payload and CSV rows at base point p, built as dicts from Level values.
+
+    sweeps are the --sweep specs; the axes and the rows' points are the
+    CLI's own (`_parse_sweeps`, `_project_point`).  One dict per row, with
+    its energies and negative count read from the `Level` values of its
+    spectrum: the generic writers `_json_text` and `_csv_text` turn them
+    into the command's output.
+    """
+    axes = cli._parse_sweeps({"sweep": sweeps, "levels": n_levels})
+    base = {"xi": p.xi, "alpha-re": p.alpha.real, "alpha-im": p.alpha.imag,
+            "beta-re": p.beta.real, "beta-im": p.beta.imag, "L0": p.L0}
+    names = [name for name, _ in axes]
+    projected = [cli._project_point(base, dict(zip(names, values)))
+                 for values in itertools.product(*(values for _, values in axes))]
+    specs = spectra([q for q, _ in projected], g, n_levels)
+    rows = [
+        {"xi": q.xi, "alpha_re": q.alpha.real, "alpha_im": q.alpha.imag,
+         "beta_re": q.beta.real, "beta_im": q.beta.imag, "L0": q.L0, "rescale": scale,
+         "fp_xi": q.xi, "fp_alpha_re": q.alpha.real, "fp_beta_im": q.beta.imag,
+         "zero_mode": zero_mode_exists(q, g),
+         "negative_count": sum(lv.sector == "negative" for lv in spec.levels),
+         **{f"energy_{i}": lv.energy for i, lv in enumerate(spec.levels, start=1)}}
+        for (q, scale), spec in zip(projected, specs)
+    ]
+    payload = {
+        "command": "scan",
+        "geometry": {"length": g.l, "hbar": g.hbar, "mass": g.mass},
+        "axes": [{"name": name, "values": values} for name, values in axes],
+        "rows": rows,
+    }
     return payload, rows
 
 

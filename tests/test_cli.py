@@ -26,7 +26,7 @@ from pointspec import (
 from pointspec import kernels, spectral
 from pointspec import cli
 from pointspec.cli import DEFAULT_KERNEL_TIMES, main
-from helpers import eigenstate_payload, point_args
+from helpers import eigenstate_payload, haar_point, point_args, scan_payload
 
 G1 = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
 
@@ -436,6 +436,65 @@ class TestScanCommand:
             p = make_u2(row["xi"], complex(row["alpha_re"], row["alpha_im"]),
                         complex(row["beta_re"], row["beta_im"]), row["L0"])
             assert [row[f"energy_{i}"] for i in range(1, n + 1)] == spectrum(p, g, n).energies()
+
+
+class TestScanWriter:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_matches_generic_writers(self, fmt, tmp_path, capsys):
+        # a Haar point whose rows have 0, 1 and 2 bound states, so rows of three shapes
+        p, sweeps = haar_point(np.random.default_rng(11)), ["xi:0.1:3:4", "L0:0.2:5:3"]
+        payload, rows = scan_payload(p, G1, sweeps, 3)
+        assert {row["negative_count"] for row in rows} == {0, 1, 2}
+        want = cli._json_text(payload) + "\n" if fmt == "json" else cli._csv_text(rows)
+        argv = ["scan", *point_args(p.xi, p.alpha, p.beta, p.L0), "--mass=0.5", "--levels", "3", "--format", fmt]
+        argv += [f"--sweep={spec}" for spec in sweeps]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert run(tmp_path, *argv) == (0, want)
+
+
+class TestRequestLimits:
+    """Requests over the level and scan limits are refused with exit 2 before anything is solved."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--levels", "1000000"],
+        ["spectrum", "--levels", "100000000"],
+        ["eigenstate", "--levels", "100001"],
+        ["oracle-check", "--levels", "1000000", "--grid", "4000000"],
+        ["scan", "--sweep", "L0:1:2:2", "--levels", "100001"],
+        # 10^20 rows: building the value list would not end
+        ["scan", "--sweep", "L0:1:2:100000000000000000000"],
+        ["scan", "--sweep", "L0:1:2:1000", "--sweep", "xi:0.1:1:101"],
+        # 10^5 rows, at the row limit, of 11 levels each
+        ["scan", "--sweep", "L0:1:2:1000", "--sweep", "xi:0.1:1:100", "--levels", "11"],
+    ], ids=["spectrum-1e6", "spectrum-1e8", "eigenstate", "oracle-check", "scan-levels", "scan-1e20-rows",
+            "scan-rows", "scan-row-levels"])
+    def test_refused_with_exit_2(self, monkeypatch, capsys, argv):
+        def refuse(*args):
+            raise AssertionError("a refused request reached the solvers")
+
+        monkeypatch.setattr(spectral, "_coeffs", refuse)
+        monkeypatch.setattr(cli.oracle, "fd_spectrum", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pointspec: ") and "Traceback" not in captured.err
+
+    def test_limits_are_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(spectral, "MAX_LEVELS", 3)
+        monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 6)
+        monkeypatch.setattr(cli, "MAX_SCAN_LEVELS", 12)
+        for argv, code in [
+            (["spectrum", "--levels", "3"], 0),
+            (["spectrum", "--levels", "4"], 2),
+            (["scan", "--sweep", "L0:1:2:2", "--sweep", "xi:0.1:1:3", "--levels", "2"], 0),
+            (["scan", "--sweep", "L0:1:2:7"], 2),
+            (["scan", "--sweep", "L0:1:2:2", "--sweep", "xi:0.1:1:3", "--levels", "3"], 2),
+            (["scan", "--sweep", "L0:1:2:3", "--levels", "4"], 2),
+        ]:
+            assert main(argv) == code
+            out = capsys.readouterr().out
+            assert bool(out) == (code == 0)
 
 
 class TestOracleCheckCommand:

@@ -5,7 +5,7 @@ import io
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointspec import (
     BoxGeometry,
@@ -21,7 +21,7 @@ from pointspec import (
     spectrum,
 )
 from pointspec import cli
-from helpers import eigenstate_payload, fingerprint_pair, haar_point, point_args
+from helpers import eigenstate_payload, fingerprint_pair, haar_point, point_args, scan_payload
 
 G = BoxGeometry(l=1.0, hbar=1.0, mass=0.5)
 
@@ -44,6 +44,46 @@ def test_haar_point_modes_and_output(seed, n_levels):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     assert out.getvalue() == cli._json_text(payload) + "\n"
+
+
+#: sweepable axes and the range their ends are drawn from: at most two of
+#: them leave every row a point of U(2) after the rescale
+SWEEP_RANGES = {"xi": (0.05, 3.0), "L0": (0.1, 10.0), "alpha-re": (-0.6, 0.6), "beta-im": (-0.6, 0.6)}
+#: xi = 0, alpha = 1: the Neumann-Neumann box, a zero mode at every L0
+ZERO_MODE_BASE = make_u2(0.0, 1.0, 0.0)
+
+
+@st.composite
+def scan_cases(draw):
+    """(base point, sweep specs): a Haar base with one or two axes, or the zero-mode base with an L0 axis."""
+    if draw(st.booleans()):
+        base, names = ZERO_MODE_BASE, ["L0"]
+    else:
+        base = haar_point(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        names = draw(st.lists(st.sampled_from(sorted(SWEEP_RANGES)), min_size=1, max_size=2, unique=True))
+    ends = [(draw(st.floats(*SWEEP_RANGES[n])), draw(st.floats(*SWEEP_RANGES[n]))) for n in names]
+    return base, [f"{n}:{a!r}:{b!r}:{draw(st.integers(1, 4))}" for n, (a, b) in zip(names, ends)]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(case=scan_cases(), n_levels=st.integers(1, 8))
+# rows with 0, 1 and 2 bound states in one scan, and zero-mode rows
+@example(case=(haar_point(np.random.default_rng(11)), ["xi:0.1:3:4", "L0:0.2:5:3"]), n_levels=3)
+@example(case=(ZERO_MODE_BASE, ["L0:0.2:5:7"]), n_levels=8)
+def test_scan_rows_and_output(case, n_levels):
+    p, sweeps = case
+    payload, rows = scan_payload(p, G, sweeps, n_levels)
+    # at most two bound states, and the Neumann-Neumann box has its zero mode at every L0
+    assert all(row["negative_count"] <= 2 for row in rows)
+    assert p != ZERO_MODE_BASE or all(row["zero_mode"] for row in rows)
+    # the templated JSON writer prints what the generic one prints for the row dicts, and the CSV is theirs
+    argv = ["scan", *point_args(p.xi, p.alpha, p.beta, p.L0), "--mass=0.5", "--levels", str(n_levels)]
+    argv += [f"--sweep={spec}" for spec in sweeps]
+    for fmt, want in (("json", cli._json_text(payload) + "\n"), ("csv", cli._csv_text(rows))):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([*argv, "--format", fmt]) == 0
+        assert out.getvalue() == want
 
 
 # the four scale-free wall pairs: Dirichlet, Neumann and the two mixed ones

@@ -194,6 +194,21 @@ class TestSpectrum:
         with pytest.raises(ConstraintError):
             spectrum(DIRICHLET, G1, 0)
 
+    def test_levels_limit(self, monkeypatch):
+        # a request over MAX_LEVELS is refused before the batch's arrays are built
+        def refuse(*args):
+            raise AssertionError("the refused request built its arrays")
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_coeffs", refuse)
+            for n in (spectral.MAX_LEVELS + 1, 10**8):
+                with pytest.raises(ConstraintError, match="n_levels must be from 1 to"):
+                    spectrum(DIRICHLET, G1, n)
+        monkeypatch.setattr(spectral, "MAX_LEVELS", 3)
+        assert len(spectrum(DIRICHLET, G1, 3)) == 3
+        with pytest.raises(ConstraintError):
+            spectra([DIRICHLET, NEUMANN], G1, 4)
+
     def test_near_zero_bound_state_is_the_zero_level(self):
         # zero-mode condition +5e-10: the bound state at kappa l = 2.5e-5 is
         # the zero mode's shadow, listed once, as the zero level
@@ -262,6 +277,51 @@ class TestSpectra:
         for order in (list(range(5)), [3, 0, 4, 2, 1]):
             batch = spectra([self.POINTS[i] for i in order], G1, n)
             assert [s.levels for s in batch] == [alone[i].levels for i in order]
+
+    @staticmethod
+    def _spy_zero_level_counts(monkeypatch):
+        """The coefficient columns spectra counts the states near zero energy of, one array per _count call."""
+        counted, count = [], spectral._count
+
+        def spy(sector, x, P):
+            if np.ndim(x) == 0 and x in (spectral._ZERO_SHADOW_U / math.pi, spectral._ZERO_SHADOW_U):
+                counted.append(P)
+            return count(sector, x, P)
+
+        def refuse(*args):
+            raise AssertionError("spectra tested a point on its own")
+
+        monkeypatch.setattr(spectral, "_count", spy)
+        monkeypatch.setattr(spectral, "zero_mode_exists", refuse)
+        return counted
+
+    def test_zero_mode_flags_are_the_scalar_test(self, monkeypatch):
+        # the batch flags the points zero_mode_exists flags, here also within 1e-8 of its tolerance
+        rng = np.random.default_rng(9)
+        points = [haar_point(rng) for _ in range(300)] + list(self.POINTS)
+        for target in rng.uniform(-1.1e-9, 1.1e-9, 300):
+            p = haar_point(rng)
+            s, c1, _, b_i = spectral._fingerprint_coeffs(p)
+            lam = c1 / (2.0 * (target - b_i - s))
+            if 1e-3 < lam < 1e3:
+                points.append(make_u2(p.xi, p.alpha, p.beta, lam * G1.l))
+        flagged = [p for p in points if zero_mode_exists(p, G1)]
+        assert 20 < len(flagged) < len(points) - 20
+        counted = self._spy_zero_level_counts(monkeypatch)
+        spectra(points, G1, 1)
+        want = spectral._coeffs(flagged, G1)
+        assert len(counted) == 2 and all(P.tobytes() == want.tobytes() for P in counted)
+
+    def test_zero_level_count_reads_flagged_points_only(self, monkeypatch):
+        # the states near zero energy are counted for zero-mode points alone, and not at all without one
+        alone = [spectrum(p, G1, 4).levels for p in self.POINTS]
+        counted = self._spy_zero_level_counts(monkeypatch)
+        # NEUMANN and the Im beta = -1 pole have zero modes
+        assert [s.levels for s in spectra(self.POINTS, G1, 4)] == alone
+        assert [P.shape[1] for P in counted] == [2, 2]
+        counted.clear()
+        assert [s.levels for s in spectra(self.POINTS[::4], G1, 4)] == alone[::4]
+        assert counted == []
 
     def test_batch_tangential_negative_root(self):
         # the doubly degenerate negative level of the eigenstate CLI test
