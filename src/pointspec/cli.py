@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import functools
 import io
-import itertools
 import math
 import sys
 from typing import NamedTuple
@@ -58,7 +57,9 @@ ORACLE_TOL = 5e-3
 MAX_SCAN_ROWS = 100_000
 MAX_SCAN_LEVELS = 1_000_000
 
-_SWEEPABLE = ("xi", "alpha-re", "alpha-im", "beta-re", "beta-im", "L0")
+#: the components that scan rescales back to |alpha|^2 + |beta|^2 = 1
+_UNIT = ("alpha-re", "alpha-im", "beta-re", "beta-im")
+_SWEEPABLE = ("xi", *_UNIT, "L0")
 
 _FLAG_SPECS = {
     # dest -> (flag, type, default)
@@ -295,13 +296,8 @@ def _geometry_dict(g):
 _POINT_COLUMNS = ("xi", "alpha_re", "alpha_im", "beta_re", "beta_im", "L0")
 
 
-def _point_reals(p):
-    """A point's six reals, in _POINT_COLUMNS order."""
-    return p.xi, p.alpha.real, p.alpha.imag, p.beta.real, p.beta.imag, p.L0
-
-
 def _point_row(p):
-    return dict(zip(_POINT_COLUMNS, _point_reals(p)))
+    return dict(zip(_POINT_COLUMNS, (p.xi, p.alpha.real, p.alpha.imag, p.beta.real, p.beta.imag, p.L0)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,33 +465,6 @@ def _parse_sweeps(cfg):
     ]
 
 
-def _project_point(base, swept):
-    """Set swept components, rescale the untouched ones back to unit norm."""
-    comp = {**base, **swept}
-    unit = ("alpha-re", "alpha-im", "beta-re", "beta-im")
-    free = [n for n in unit if n not in swept]
-    target_sq = 1.0 - sum(comp[n] ** 2 for n in unit if n in swept)
-    if target_sq < -1e-12:
-        raise ConstraintError("swept components alone exceed the unit norm")
-    target_sq = max(0.0, target_sq)
-    free_sq = sum(comp[n] ** 2 for n in free)
-    if free_sq == 0.0:
-        if target_sq > 1e-24:
-            raise ConstraintError("cannot rescale: remaining components are all zero")
-        scale = 1.0
-    else:
-        scale = math.sqrt(target_sq / free_sq)
-    for n in free:
-        comp[n] *= scale
-    point = make_u2(
-        comp["xi"],
-        complex(comp["alpha-re"], comp["alpha-im"]),
-        complex(comp["beta-re"], comp["beta-im"]),
-        comp["L0"],
-    )
-    return point, scale
-
-
 _SCAN_REALS = (*_POINT_COLUMNS, "rescale", "fp_xi", "fp_alpha_re", "fp_beta_im")
 
 
@@ -518,17 +487,38 @@ def _row_template(zero_mode: bool, negative_count: int, n_energies: int) -> str:
 def _cmd_scan(cfg):
     g = _geometry(cfg)
     axes = _parse_sweeps(cfg)
-    base = {name: cfg[name.replace("-", "_")] for name in _SWEEPABLE}
     names = [name for name, _ in axes]
     if len(set(names)) < len(names):
         raise ConstraintError("the two sweep axes must differ")
-    swept = [dict(zip(names, values)) for values in itertools.product(*(v for _, v in axes))]
-    projected = [_project_point(base, s) for s in swept]
-    specs = spectra([p for p, _ in projected], g, cfg["levels"])
-    # each row as (reals, zero_mode, negative_count, energies)
-    rows = [((*_point_reals(p), scale, *spectral_fingerprint(p)), zero_mode_exists(p, g),
-             spec.sector.tolist().count(SECTOR_NEGATIVE), spec.energies())
-            for (p, scale), spec in zip(projected, specs)]
+    # the rows in itertools.product order, as an index into each axis's values
+    index = [i.ravel() for i in np.meshgrid(*(np.arange(len(values)) for _, values in axes), indexing="ij")]
+    n_rows = len(index[0])
+    comp = {name: cfg[name.replace("-", "_")] for name in _SWEEPABLE}
+    comp.update((name, np.array(values)[i]) for (name, values), i in zip(axes, index))
+    # the unit components left alone are rescaled back to unit norm, by one scale unless alpha or beta is
+    # swept.  A square is Python's float ** 2, which is not always the rounded x * x, taken once per sweep
+    # value: each row's scale is that of the same projection done row by row
+    target_sq = 1.0 - sum(np.array([v ** 2 for v in values])[i]
+                          for (name, values), i in zip(axes, index) if name in _UNIT)
+    free = [name for name in _UNIT if name not in names]
+    free_sq = sum(comp[name] ** 2 for name in free)
+    exceed = np.broadcast_to(target_sq < -1e-12, n_rows)
+    failed = np.flatnonzero(exceed | ((free_sq == 0.0) & (target_sq > 1e-24)))
+    scale = np.broadcast_to(np.sqrt(np.fmax(target_sq, 0.0) / free_sq) if free_sq else 1.0, n_rows)
+    columns = [np.broadcast_to(comp[name] * scale if name in free else comp[name], n_rows).tolist()
+               for name in _SWEEPABLE]
+    # the first failing row is refused: for its projection, or for its point if an earlier row's fails
+    first = failed[0] if len(failed) else n_rows
+    points = [make_u2(xi, complex(a_r, a_i), complex(b_r, b_i), L0)
+              for xi, a_r, a_i, b_r, b_i, L0 in zip(*(column[:first] for column in columns))]
+    if first < n_rows:
+        raise ConstraintError("swept components alone exceed the unit norm" if exceed[first] else
+                              "cannot rescale: remaining components are all zero")
+    specs = spectra(points, g, cfg["levels"])
+    # each row as (reals, zero_mode, negative_count, energies); the fingerprint is the xi, Re alpha and Im beta columns
+    heads = zip(*columns, scale.tolist(), columns[0], columns[1], columns[4])
+    rows = [(head, zero_mode_exists(p, g), spec.sector.tolist().count(SECTOR_NEGATIVE), spec.energies())
+            for head, p, spec in zip(heads, points, specs)]
     if cfg["format"] == "csv":
         _emit(None, [_scan_row(*row) for row in rows], cfg)
         return 0

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, ContradictionError
-from .spectral import BoxGeometry, negative_search_ceiling
+from .spectral import MAX_LEVELS, BoxGeometry, negative_search_ceiling
 from .u2param import U2Params, direction_lengths, to_matrix
 
 __all__ = ["FdConfig", "fd_spectrum"]
@@ -191,6 +191,8 @@ def fd_spectrum(p: U2Params, g: BoxGeometry, cfg: FdConfig, n_levels: int):
         raise ConstraintError("n_levels must be at least 1")
     if n_levels > cfg.n_points // 4:
         raise ConstraintError("n_levels must be far below n_points")
+    if n_levels > MAX_LEVELS:
+        raise ConstraintError(f"n_levels must be at most {MAX_LEVELS}, not {n_levels!r}")
     sigma = cfg.shift if cfg.shift is not None else _default_shift(p, g, cfg.n_points)
     count = _level_count(p, g, cfg.n_points)
     t, m = _grid(g, cfg.n_points)[1], cfg.n_points - 2

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, ContradictionError
-from .u2param import U2Params
+from .u2param import U2Params, level_coefficients
 
 __all__ = [
     "BoxGeometry",
@@ -92,9 +92,6 @@ _FLOOR = 1e-9 * (1.0 + 1e-6)
 #: a state with |u| (or v) below this is the numerical shadow of a zero mode:
 #: the zero level stands for it when the zero-mode flag is set
 _ZERO_SHADOW_U = 1e-3
-#: |cos xi + Re alpha| (|cos xi - Re alpha|) at or below this is an exact
-#: Dirichlet (Neumann) direction of U
-_C_SNAP = 1e-12
 #: the count beside the Dirichlet energy u = n pi is read at n pi (1 -+ _GAP)
 _GAP = 1e-13
 #: two states closer than this, relative, are one double level
@@ -203,27 +200,13 @@ class Spectrum:
         return self.energy.tolist()
 
 
-def _fingerprint_coeffs(p: U2Params):
-    """(sin xi, c1, c2, Im beta) with c1 = cos xi - Re alpha, c2 = cos xi + Re alpha.
-
-    Built strictly from the fingerprint (xi, Re alpha, Im beta) so that equal
-    fingerprints give bitwise-equal conditions.  c1 or c2 within _C_SNAP of
-    0 is 0, so that the level conditions and the count describe the same
-    point, and U's exact wall directions stay exact at any L0.
-    """
-    s, c = math.sin(p.xi), math.cos(p.xi)
-    a_r = p.alpha.real
-    c1, c2 = (0.0 if abs(v) <= _C_SNAP else v for v in (c - a_r, c + a_r))
-    return s, c1, c2, p.beta.imag
-
-
 def positive_condition(p: U2Params, g: BoxGeometry, k):
     """Residual of the positive-level condition at momentum k (any sign).
 
     Vanishes exactly at the allowed momenta.  Accepts scalars or arrays.
     """
     k = np.asarray(k, dtype=float)
-    out = _pos_resid(k * g.l, p.L0 / g.l, *_fingerprint_coeffs(p))
+    out = _pos_resid(k * g.l, p.L0 / g.l, *level_coefficients(p))
     return out if out.ndim else float(out)
 
 
@@ -233,7 +216,7 @@ def negative_condition(p: U2Params, g: BoxGeometry, kappa):
     if np.any(kappa <= 0.0):
         raise ConstraintError("kappa must be strictly positive")
     v = kappa * g.l
-    out = 0.5 * np.exp(v) * _neg_resid_scaled(v, p.L0 / g.l, *_fingerprint_coeffs(p))
+    out = 0.5 * np.exp(v) * _neg_resid_scaled(v, p.L0 / g.l, *level_coefficients(p))
     return out if out.ndim else float(out)
 
 
@@ -244,7 +227,7 @@ def _zero_condition(lam, s, c1, b_i):
 
 def zero_mode_condition(p: U2Params, g: BoxGeometry) -> float:
     """Left side of the zero-mode existence condition (dimensionless)."""
-    s, c1, _, b_i = _fingerprint_coeffs(p)
+    s, c1, _, b_i = level_coefficients(p)
     return _zero_condition(p.L0 / g.l, s, c1, b_i)
 
 
@@ -343,7 +326,7 @@ def _coeffs(points, g: BoxGeometry):
 
     Raises ConstraintError for an L0 / l outside _LAM_RANGE.
     """
-    rows = [(p.L0 / g.l, *_fingerprint_coeffs(p)) for p in points]
+    rows = [(p.L0 / g.l, *level_coefficients(p)) for p in points]
     for lam, *_ in rows:
         if not _LAM_RANGE[0] <= lam <= _LAM_RANGE[1]:
             raise ConstraintError(
@@ -563,13 +546,19 @@ def find_positive_roots(p: U2Params, g: BoxGeometry, k_max: float):
     """All positive-level momenta in (0, k_max] as (k, multiplicity) pairs.
 
     Multiplicity 2 marks a doubly degenerate level, as on the scale-invariant
-    sphere at Im beta = +-1.
+    sphere at Im beta = +-1.  A k_max that is not finite, or below which lie
+    more than MAX_LEVELS states, is refused before any array is built.
     """
-    if not k_max > 0.0:
-        raise ConstraintError("k_max must be positive")
+    if not 0.0 < k_max < math.inf:
+        raise ConstraintError(f"k_max must be positive and finite, not {k_max!r}")
     P = _coeffs((p,), g)
     u_max = float(k_max) * g.l
-    lo, hi = _count(_POSITIVE, np.array([_FLOOR, u_max]) / math.pi, P[:, 0])
+    # at least floor(u_max / pi) - 2 states lie in (_FLOOR, u_max]: past (MAX_LEVELS + 3) pi
+    # they are too many, and the count is not read where its terms could overflow
+    small = u_max < (MAX_LEVELS + 3) * math.pi
+    lo, hi = _count(_POSITIVE, np.array([_FLOOR, u_max]) / math.pi, P[:, 0]) if small else (0, math.inf)
+    if hi - lo > MAX_LEVELS:
+        raise ConstraintError(f"more than {MAX_LEVELS} states lie below k_max = {k_max!r}")
     _, u, mult = _positive_states(P, np.array([max(0, int(hi - lo))]))
     return [(x / g.l, m) for x, m in zip(u.tolist(), mult.tolist()) if x <= u_max]
 

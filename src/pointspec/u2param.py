@@ -37,6 +37,7 @@ __all__ = [
     "to_matrix",
     "classify",
     "direction_lengths",
+    "level_coefficients",
     "separated_lengths",
     "twist_angle",
 ]
@@ -176,6 +177,20 @@ def separated_lengths(p: U2Params, tol: float = CLASSIFY_TOL) -> SeparatedLength
     return SeparatedLengths(l_plus, l_minus) if p.alpha.imag >= 0.0 else SeparatedLengths(l_minus, l_plus)
 
 
+def level_coefficients(p: U2Params) -> tuple[float, float, float, float]:
+    """(sin xi, c1, c2, Im beta) with c1 = cos xi - Re alpha, c2 = cos xi + Re alpha.
+
+    The level conditions' coefficients, from (xi, Re alpha, Im beta) alone,
+    so that points sharing those share the conditions bit for bit.  c1 or
+    c2 within 1e-12 of 0 is 0, an exact Neumann or Dirichlet direction of U
+    at any L0; every reader of c1 and c2 takes them from here.
+    """
+    s, c = math.sin(p.xi), math.cos(p.xi)
+    a_r = p.alpha.real
+    c1, c2 = (0.0 if abs(v) <= 1e-12 else v for v in (c - a_r, c + a_r))
+    return s, c1, c2, p.beta.imag
+
+
 def direction_lengths(p: U2Params) -> tuple[float, float]:
     """Robin lengths (L+, L-) of U's two eigen-directions, at any point.
 
@@ -185,16 +200,16 @@ def direction_lengths(p: U2Params) -> tuple[float, float]:
     sqrt(1 - Re alpha^2), c1 = cos xi - Re alpha and c2 = cos xi + Re alpha,
     and since (s - sigma)(s + sigma) = -c1 c2, these are the closed forms
     L+ = L0 c2 / (s + sigma) and L- = -L0 (s + sigma) / c1.  They read c1
-    and c2 as spectral's level conditions do, with a |c2| (|c1|) up to 1e-12
-    taken as 0, an exact Dirichlet direction L+ = 0 (Neumann direction
-    L- = INFINITE_LENGTH), so the lengths belong to the point spectral
-    solves; near a wall an angle through arccos loses those digits.  A
-    direction with 0 < L < inf is attractive; no other direction binds a
-    state.
+    and c2 from `level_coefficients`, as spectral's level conditions do, so
+    a snapped c2 (c1) is an exact Dirichlet direction L+ = 0 (Neumann
+    direction L- = INFINITE_LENGTH) and the lengths belong to the point
+    spectral solves; near a wall an angle through arccos loses those
+    digits.  A direction with 0 < L < inf is attractive; no other direction
+    binds a state.
     """
     a_r = p.alpha.real
-    s_sigma = math.sin(p.xi) + math.sqrt(max(0.0, (1.0 - a_r) * (1.0 + a_r)))
-    c1, c2 = (0.0 if abs(v) <= 1e-12 else v for v in (math.cos(p.xi) - a_r, math.cos(p.xi) + a_r))
+    s, c1, c2, _ = level_coefficients(p)
+    s_sigma = s + math.sqrt(max(0.0, (1.0 - a_r) * (1.0 + a_r)))
     if s_sigma == 0.0:  # xi = 0 and Re alpha = +-1: U = +-I, whose two directions are one wall
         return (0.0, 0.0) if c2 == 0.0 else (INFINITE_LENGTH, INFINITE_LENGTH)
     return (0.0 if c2 == 0.0 else p.L0 * c2 / s_sigma, INFINITE_LENGTH if c1 == 0.0 else -p.L0 * s_sigma / c1)

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from pointspec import Spectrum, eigenbasis, make_u2, residuals_and_norms, spectra, zero_mode_exists
+from pointspec import (ConstraintError, Spectrum, eigenbasis, make_u2, residuals_and_norms, spectra,
+                       zero_mode_exists)
 from pointspec import cli
 
 
@@ -101,20 +102,47 @@ def eigenstate_payload(p, g, n_levels):
     return payload, rows
 
 
+def project_point(base, swept):
+    """One scan row's (point, scale): set the swept components, rescale the untouched ones back to unit norm.
+
+    A scalar reference for the array projection of `scan`, one row at a time.
+    """
+    comp = {**base, **swept}
+    unit = ("alpha-re", "alpha-im", "beta-re", "beta-im")
+    free = [n for n in unit if n not in swept]
+    target_sq = 1.0 - sum(comp[n] ** 2 for n in unit if n in swept)
+    if target_sq < -1e-12:
+        raise ConstraintError("swept components alone exceed the unit norm")
+    target_sq = max(0.0, target_sq)
+    free_sq = sum(comp[n] ** 2 for n in free)
+    if free_sq == 0.0:
+        if target_sq > 1e-24:
+            raise ConstraintError("cannot rescale: remaining components are all zero")
+        scale = 1.0
+    else:
+        scale = math.sqrt(target_sq / free_sq)
+    for n in free:
+        comp[n] *= scale
+    point = make_u2(comp["xi"], complex(comp["alpha-re"], comp["alpha-im"]),
+                    complex(comp["beta-re"], comp["beta-im"]), comp["L0"])
+    return point, scale
+
+
 def scan_payload(p, g, sweeps, n_levels):
     """The `scan` command's JSON payload and CSV rows at base point p, built as dicts from Level values.
 
-    sweeps are the --sweep specs; the axes and the rows' points are the
-    CLI's own (`_parse_sweeps`, `_project_point`).  One dict per row, with
-    its energies and negative count read from the `Level` values of its
-    spectrum: the generic writers `_json_text` and `_csv_text` turn them
-    into the command's output.
+    sweeps are the --sweep specs; the axes are the CLI's own
+    (`_parse_sweeps`), the rows' points those of `project_point`, row by
+    row in itertools.product order.  One dict per row, with its energies
+    and negative count read from the `Level` values of its spectrum: the
+    generic writers `_json_text` and `_csv_text` turn them into the
+    command's output.
     """
     axes = cli._parse_sweeps({"sweep": sweeps, "levels": n_levels})
     base = {"xi": p.xi, "alpha-re": p.alpha.real, "alpha-im": p.alpha.imag,
             "beta-re": p.beta.real, "beta-im": p.beta.imag, "L0": p.L0}
     names = [name for name, _ in axes]
-    projected = [cli._project_point(base, dict(zip(names, values)))
+    projected = [project_point(base, dict(zip(names, values)))
                  for values in itertools.product(*(values for _, values in axes))]
     specs = spectra([q for q, _ in projected], g, n_levels)
     rows = [

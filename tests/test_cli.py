@@ -410,6 +410,19 @@ class TestScanCommand:
         assert float(lines[1].split(",")[i_rs]) == pytest.approx(1.0)
         assert float(lines[2].split(",")[i_rs]) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("argv, message", [
+        # row 0 cannot be rescaled, and is refused before row 2, whose swept component is 2
+        (["--sweep", "alpha-re:0.5:2:3"], "cannot rescale: remaining components are all zero"),
+        # rows 0 to 2 are points of U(2), row 3 is not
+        (["--alpha-re", "1", "--sweep", "beta-re:0:1.5:4"], "swept components alone exceed the unit norm"),
+        (["--sweep", "alpha-re:nan:1:3"], "|alpha|^2 + |beta|^2 = nan is not 1 within 1e-12"),
+        # row 0's point is refused before row 1's projection
+        (["--beta-re", "1", "--sweep", "xi:3.5:0:2", "--sweep", "alpha-re:0:2:2"], "xi = 3.5 outside [0, pi)"),
+    ], ids=["cannot-rescale-first", "exceed", "nan", "point-first"])
+    def test_first_failing_row_is_refused(self, capsys, argv, message):
+        assert main(["scan", *argv]) == 2
+        assert capsys.readouterr() == ("", f"pointspec: {message}\n")
+
     def test_bad_axis_rejected(self, tmp_path):
         code, _ = run(
             tmp_path, "scan", "--sweep", "length:0:1:2",
@@ -439,12 +452,24 @@ class TestScanCommand:
 
 
 class TestScanWriter:
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_matches_generic_writers(self, fmt, tmp_path, capsys):
+    CASES = {
         # a Haar point whose rows have 0, 1 and 2 bound states, so rows of three shapes
-        p, sweeps = haar_point(np.random.default_rng(11)), ["xi:0.1:3:4", "L0:0.2:5:3"]
+        "xi-L0": (haar_point(np.random.default_rng(11)), ["xi:0.1:3:4", "L0:0.2:5:3"]),
+        # sweeps of each unit component, whose rows are rescaled one by one
+        "alpha-im-beta-re": (haar_point(np.random.default_rng(11)), ["alpha-im:-0.5:0.5:3", "beta-re:-0.4:0.6:3"]),
+        "beta-im-alpha-re": (haar_point(np.random.default_rng(12)), ["beta-im:0.7:-0.7:4", "alpha-re:-0.3:0.2:2"]),
+        # a value whose Python square, which the scalar projection takes, is not its correctly
+        # rounded square: the rescale differs in its last bit if the two are mixed up
+        "alpha-re-square": (make_u2(0.4, 0.6, 0.8j), ["alpha-re:-0.8236155155018324:0:1", "xi:0.2:0.6:2"]),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_generic_writers(self, case, fmt, tmp_path, capsys):
+        p, sweeps = self.CASES[case]
         payload, rows = scan_payload(p, G1, sweeps, 3)
-        assert {row["negative_count"] for row in rows} == {0, 1, 2}
+        if case == "xi-L0":
+            assert {row["negative_count"] for row in rows} == {0, 1, 2}
         want = cli._json_text(payload) + "\n" if fmt == "json" else cli._csv_text(rows)
         argv = ["scan", *point_args(p.xi, p.alpha, p.beta, p.L0), "--mass=0.5", "--levels", "3", "--format", fmt]
         argv += [f"--sweep={spec}" for spec in sweeps]

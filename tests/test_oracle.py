@@ -18,7 +18,7 @@ from pointspec import (
     to_matrix,
 )
 from pointspec import oracle
-from pointspec.spectral import negative_search_ceiling
+from pointspec.spectral import MAX_LEVELS, negative_search_ceiling
 from helpers import haar_point
 
 RNG = np.random.default_rng(20240816)
@@ -53,6 +53,15 @@ class TestFdConfig:
     def test_levels_far_below_points(self):
         with pytest.raises(ConstraintError):
             fd_spectrum(DIRICHLET, G1, FdConfig(n_points=16), 10)
+
+    def test_levels_limit(self, monkeypatch):
+        # over spectral's MAX_LEVELS, refused before the count is built, whatever the grid
+        def refuse(*args):
+            raise AssertionError("the refused request reached the count")
+
+        monkeypatch.setattr(oracle, "_level_count", refuse)
+        with pytest.raises(ConstraintError, match="n_levels must be at most"):
+            fd_spectrum(DIRICHLET, G1, FdConfig(n_points=10**9), MAX_LEVELS + 1)
 
 
 class TestGoldenCases:

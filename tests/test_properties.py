@@ -48,7 +48,8 @@ def test_haar_point_modes_and_output(seed, n_levels):
 
 #: sweepable axes and the range their ends are drawn from: at most two of
 #: them leave every row a point of U(2) after the rescale
-SWEEP_RANGES = {"xi": (0.05, 3.0), "L0": (0.1, 10.0), "alpha-re": (-0.6, 0.6), "beta-im": (-0.6, 0.6)}
+SWEEP_RANGES = {"xi": (0.05, 3.0), "L0": (0.1, 10.0), "alpha-re": (-0.6, 0.6), "alpha-im": (-0.6, 0.6),
+                "beta-re": (-0.6, 0.6), "beta-im": (-0.6, 0.6)}
 #: xi = 0, alpha = 1: the Neumann-Neumann box, a zero mode at every L0
 ZERO_MODE_BASE = make_u2(0.0, 1.0, 0.0)
 

@@ -22,6 +22,7 @@ from pointspec import (
 )
 from pointspec import spectral
 from pointspec.spectral import negative_search_ceiling
+from pointspec.u2param import level_coefficients
 from helpers import fingerprint_pair, haar_point
 
 RNG = np.random.default_rng(20240812)
@@ -114,6 +115,23 @@ class TestFindPositiveRoots:
     def test_kmax_validation(self):
         with pytest.raises(ConstraintError):
             find_positive_roots(DIRICHLET, G1, -1.0)
+
+    def test_kmax_limit(self, monkeypatch):
+        # a k_max that is not finite, or below which lie more than MAX_LEVELS states, is refused
+        # before the states' arrays are built
+        def refuse(*args):
+            raise AssertionError("the refused request built its arrays")
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_positive_states", refuse)
+            for k_max in (math.inf, math.nan, 1e300, 1e12, (spectral.MAX_LEVELS + 3) * math.pi):
+                with pytest.raises(ConstraintError):
+                    find_positive_roots(DIRICHLET, G1, k_max)
+        # Dirichlet states lie at k = n pi: the count decides below (MAX_LEVELS + 3) pi
+        monkeypatch.setattr(spectral, "MAX_LEVELS", 3)
+        assert len(find_positive_roots(DIRICHLET, G1, 3.5 * math.pi)) == 3
+        with pytest.raises(ConstraintError, match="more than 3 states"):
+            find_positive_roots(DIRICHLET, G1, 4.5 * math.pi)
 
     def test_close_pair_near_minus_pole(self):
         # two levels at k l = 0.146 and 0.163, closer than a pi/16 grid step;
@@ -301,7 +319,7 @@ class TestSpectra:
         points = [haar_point(rng) for _ in range(300)] + list(self.POINTS)
         for target in rng.uniform(-1.1e-9, 1.1e-9, 300):
             p = haar_point(rng)
-            s, c1, _, b_i = spectral._fingerprint_coeffs(p)
+            s, c1, _, b_i = level_coefficients(p)
             lam = c1 / (2.0 * (target - b_i - s))
             if 1e-3 < lam < 1e3:
                 points.append(make_u2(p.xi, p.alpha, p.beta, lam * G1.l))
